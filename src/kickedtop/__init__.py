@@ -27,8 +27,6 @@ from .errors import (
 )
 from .numerics import (
     EigenDecomposition,
-    eigvals_general_small,
-    eigvals_product_small,
     hermitian_eigen,
     unitary_from_hermitian,
 )
@@ -134,8 +132,6 @@ __all__ = [
     "concurrence_series",
     "concurrence_x_form",
     "dicke_concurrence_closed",
-    "eigvals_general_small",
-    "eigvals_product_small",
     "entanglement_of_formation",
     "epr_expectations",
     "epr_reduce",

@@ -118,27 +118,12 @@ def build_parity_basis() -> ParityBasis:
     )
 
 
-def _chebyshev_pair(n: int, chi: float) -> tuple[float, float]:
-    """(T_n(chi), U_{n-1}(chi)) by the three-term recurrence.
-
-    The recurrence, not acos/cos evaluation, keeps the endpoint values
-    at chi = +-1/2 exact and stays well-conditioned since |chi| <= 1/2.
-    """
-    t_prev, t_cur = 1.0, chi  # T_0, T_1
-    u_prev, u_cur = 0.0, 1.0  # U_{-1}, U_0
-    if n == 0:
-        return 1.0, 0.0
-    for _ in range(n - 1):
-        t_prev, t_cur = t_cur, 2.0 * chi * t_cur - t_prev
-        u_prev, u_cur = u_cur, 2.0 * chi * u_cur - u_prev
-    return t_cur, u_cur
-
-
 def chebyshev_table(n_max: int, kappa0: float) -> tuple[np.ndarray, np.ndarray]:
     """Arrays t, u with t[n] = T_n(chi), u[n] = U_{n-1}(chi) for n <= n_max.
 
-    One recurrence pass; meant for sweeps where calling chebyshev_step
-    per n would be quadratic.
+    One pass of the three-term recurrence.  The recurrence, not acos/cos
+    evaluation, keeps the endpoint values at chi = +-1/2 exact and stays
+    well-conditioned since |chi| <= 1/2.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
@@ -165,7 +150,8 @@ def chebyshev_step(n: int, kappa0: float) -> ChebyshevStep:
         raise DomainError(f"kick count must be >= 0, got {n}")
     kappa = kappa0 / 6.0
     chi = math.sin(2.0 * kappa) / 2.0
-    t_n, u_prev = _chebyshev_pair(n, chi)
+    t, u = chebyshev_table(n, kappa0)
+    t_n, u_prev = float(t[n]), float(u[n])
     alpha = complex(t_n, 0.5 * u_prev * math.cos(2.0 * kappa))
     beta = (_SQRT3 / 2.0) * u_prev * complex(math.cos(2.0 * kappa), math.sin(2.0 * kappa))
     gamma = math.acos(max(-1.0, min(1.0, chi)))
@@ -203,12 +189,6 @@ def rho12_analytic(n: int, kappa0: float) -> TwoQubitDensity:
     return TwoQubitDensity.from_matrix(rho)
 
 
-def _concurrence_from_u(u_prev: float) -> float:
-    mag = abs(u_prev)
-    inner = math.sqrt(max(0.0, 1.0 - 0.75 * mag * mag))
-    return mag * abs(0.5 * mag - inner)
-
-
 def analytic_concurrence(n: int, kappa0: float) -> float:
     """Closed-form pairwise concurrence after n kicks of the |000> top.
 
@@ -217,16 +197,14 @@ def analytic_concurrence(n: int, kappa0: float) -> float:
     """
     if n < 1:
         raise DomainError(f"kick count must be >= 1, got {n}")
-    m = n if n % 2 == 0 else n + 1
-    step = chebyshev_step(m, kappa0)
-    return _concurrence_from_u(step.u_prev)
+    return float(analytic_concurrence_series(n, kappa0)[-1])
 
 
 def analytic_concurrence_series(n_max: int, kappa0: float) -> np.ndarray:
     """analytic_concurrence(n, kappa0) for n = 1..n_max in one pass.
 
-    Same values as the per-n function; the Chebyshev recurrence runs
-    once instead of once per n.
+    One Chebyshev recurrence pass serves every n; the per-n function
+    is the last entry of this series.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")

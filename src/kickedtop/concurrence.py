@@ -24,15 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, NotPhysical, NumericalFailure, WrongStructure
+from .errors import DomainError, NoConvergence, NotPhysical, WrongStructure
 from .numerics import hermitian_eigen
 from .pairwise import TwoQubitDensity
 
 _EPS = float(np.finfo(float).eps)
-
-# Floor below which a negative eigenvalue of the spin-flip product is a
-# numerics bug rather than roundoff.
-EIGENVALUE_FLOOR = -1e-7
 
 STRUCTURE_TOL = 1e-10
 
@@ -63,30 +59,19 @@ class ConcurrenceResult:
     lambdas: np.ndarray
 
 
-def _density_matrix(rho) -> np.ndarray:
+def _density_matrix(rho) -> TwoQubitDensity:
     """Accept a TwoQubitDensity or a raw 4x4 array; validate raw input."""
     if isinstance(rho, TwoQubitDensity):
-        return rho.rho
-    return TwoQubitDensity.from_matrix(np.asarray(rho)).rho
-
-
-def _sqrt_descending(vals: np.ndarray, floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
-    """Clamp small negative eigenvalues and return descending sqrt."""
-    worst = float(vals.min()) if vals.size else 0.0
-    if worst < floor:
-        raise NumericalFailure(
-            f"spin-flip product eigenvalue {worst:.3e} below floor {floor:.1e}"
-        )
-    lam = np.sqrt(np.maximum(vals, 0.0))
-    lam[::-1].sort()
-    return lam
+        return rho
+    return TwoQubitDensity.from_matrix(np.asarray(rho))
 
 
 def wootters(rho) -> ConcurrenceResult:
     """Concurrence of an arbitrary two-qubit density matrix.
 
     rho is factored as X X^dagger with X = V sqrt(D) from its Hermitian
-    eigendecomposition, keeping the eigencomponents with
+    eigendecomposition (the one TwoQubitDensity.from_matrix already
+    made for its positivity check), keeping the eigencomponents with
     d > 16*eps*d_max (the rest are roundoff of a rank-deficient rho and
     contribute nothing but noise).  The lambdas are the singular values
     of tau = X^T S X, S = sigma_y x sigma_y, padded with zeros to four
@@ -100,11 +85,10 @@ def wootters(rho) -> ConcurrenceResult:
     whole spectrum is taken as zero, so those states report
     concurrence and c_lambda of exactly 0.
     """
-    r = _density_matrix(rho)
-    eig = hermitian_eigen(r)
-    d = eig.values
+    dm = _density_matrix(rho)
+    d = dm.eig.values
     keep = d > 16.0 * _EPS * d.max()
-    x = eig.vectors[:, keep] * np.sqrt(d[keep])
+    x = dm.eig.vectors[:, keep] * np.sqrt(d[keep])
     try:
         sv = np.linalg.svd(x.T @ SPIN_FLIP @ x, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -112,7 +96,7 @@ def wootters(rho) -> ConcurrenceResult:
 
     lam = np.zeros(4)
     lam[: sv.size] = sv
-    if lam[0] <= 8.0 * math.sqrt(_EPS) * float(np.trace(r).real):
+    if lam[0] <= 8.0 * math.sqrt(_EPS) * float(np.trace(dm.rho).real):
         lam[:] = 0.0
     c_lambda = float(lam[0] - lam[1] - lam[2] - lam[3])
     return ConcurrenceResult(max(0.0, c_lambda), c_lambda, lam)
@@ -125,7 +109,7 @@ def concurrence_dicke_form(rho) -> float:
     coherences (u = x_plus = x_minus = 0, y real); then
     C = 2 max(0, y - sqrt(v_plus v_minus)).
     """
-    dm = rho if isinstance(rho, TwoQubitDensity) else TwoQubitDensity.from_matrix(np.asarray(rho))
+    dm = _density_matrix(rho)
     r = dm.rho
     off = max(
         abs(r[3, 0]),
@@ -152,7 +136,7 @@ def concurrence_x_form(rho) -> float:
     formula additionally needs the two inner diagonals equal; that
     holds for every swap-symmetric reduction this package produces.
     """
-    dm = rho if isinstance(rho, TwoQubitDensity) else TwoQubitDensity.from_matrix(np.asarray(rho))
+    dm = _density_matrix(rho)
     r = dm.rho
     off = max(
         abs(r[1, 0]),

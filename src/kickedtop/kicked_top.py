@@ -33,22 +33,18 @@ class KickedTopParams:
     """Parameters of one kicked-top period.
 
     kappa0 is the torsion strength before the 1/(2j) scaling; p is the
-    precession angle per period; tau is the period length and is pure
-    bookkeeping (hbar = 1 throughout).
+    precession angle per period (hbar = 1 and unit period throughout).
     """
 
     q: SpinQuantum
     kappa0: float
     p: float = DEFAULT_PRECESSION
-    tau: float = 1.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.kappa0) or self.kappa0 < 0.0:
             raise DomainError(f"kappa0 must be finite and >= 0, got {self.kappa0}")
         if not math.isfinite(self.p):
             raise DomainError(f"p must be finite, got {self.p}")
-        if not self.tau > 0.0:
-            raise DomainError(f"tau must be positive, got {self.tau}")
 
 
 @dataclass(frozen=True)

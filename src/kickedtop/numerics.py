@@ -1,20 +1,12 @@
 """Dense complex linear algebra used everywhere else.
 
-Two solvers live here: a Hermitian eigendecomposition (delegated to
-LAPACK via numpy, wrapped so failures surface as package errors) and an
-eigenvalue routine for small general matrices built from the
-characteristic polynomial and a simultaneous root iteration.  The
-second one exists because the spectra we feed it (products of density
-matrices with spin-flip conjugations) are tiny, frequently rank
-deficient, and carry multiple roots; the implementation works in
-extended precision and post-processes roots so that those cases come
-out clean.
+A Hermitian eigendecomposition (delegated to LAPACK via numpy, wrapped
+so that bad input and failed iterations surface as package errors) and
+the unitary exp(-i * angle * H) built from it.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +17,9 @@ from .errors import (
     NotHermitian,
 )
 
-# Default tolerances. Every public bound in this package routes through
-# one of these names; call sites may override per invocation.
+# Default Hermiticity bound for hermitian_eigen; call sites may override
+# it per invocation.
 HERMITICITY_TOL = 1e-10
-DK_REL_TOL = 1e-15
-DK_MAX_SWEEPS = 500
-GENERAL_EIG_MAX_DIM = 8
-
-_LD = np.clongdouble
-_EPS_LD = float(np.finfo(np.longdouble).eps)
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -77,483 +62,3 @@ def unitary_from_hermitian(h, angle: float) -> np.ndarray:
     dec = hermitian_eigen(h)
     phases = np.exp(-1j * angle * dec.values)
     return (dec.vectors * phases) @ dec.vectors.conj().T
-
-
-# Dekker splitting constant for the 64-bit extended-precision mantissa.
-# Splitting multiplies by 2^32, so operands must stay below max/2^32;
-# every matrix this module sees is far inside that range.
-_SPLIT = np.longdouble(2**32 + 1)
-
-
-def _two_sum(a, b):
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _two_prod(a, b):
-    p = a * b
-    ah = _SPLIT * a
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = _SPLIT * b
-    bh = bh - (bh - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(xh, xl, yh, yl):
-    s, e = _two_sum(xh, yh)
-    e = e + (xl + yl)
-    s2 = s + e
-    return s2, e - (s2 - s)
-
-
-def _dd_mul(xh, xl, yh, yl):
-    p, e = _two_prod(xh, yh)
-    e = e + (xh * yl + xl * yh)
-    s = p + e
-    return s, e - (s - p)
-
-
-def _dd_div_int(xh, xl, k):
-    kl = np.longdouble(k)
-    q1 = xh / kl
-    p, e = _two_prod(q1, kl)
-    q2 = (((xh - p) - e) + xl) / kl
-    s = q1 + q2
-    return s, q2 - (s - q1)
-
-
-def _cdd_add(a, b):
-    rh, rl = _dd_add(a[0], a[1], b[0], b[1])
-    ih, il = _dd_add(a[2], a[3], b[2], b[3])
-    return rh, rl, ih, il
-
-
-def _cdd_mul(a, b):
-    xu = _dd_mul(a[0], a[1], b[0], b[1])
-    yv = _dd_mul(a[2], a[3], b[2], b[3])
-    xv = _dd_mul(a[0], a[1], b[2], b[3])
-    yu = _dd_mul(a[2], a[3], b[0], b[1])
-    re = _dd_add(xu[0], xu[1], -yv[0], -yv[1])
-    im = _dd_add(xv[0], xv[1], yu[0], yu[1])
-    return re[0], re[1], im[0], im[1]
-
-
-def _cdd_matmul(a, b):
-    n = a[0].shape[0]
-    acc = tuple(np.zeros((n, n), dtype=np.longdouble) for _ in range(4))
-    for k in range(n):
-        col = tuple(c[:, k : k + 1] for c in a)
-        row = tuple(c[k : k + 1, :] for c in b)
-        acc = _cdd_add(acc, _cdd_mul(col, row))
-    return acc
-
-
-def _cdd_trace(a):
-    idx = np.arange(a[0].shape[0])
-    rh = np.longdouble(0.0)
-    rl = np.longdouble(0.0)
-    ih = np.longdouble(0.0)
-    il = np.longdouble(0.0)
-    for i in idx:
-        rh, rl = _dd_add(rh, rl, a[0][i, i], a[1][i, i])
-        ih, il = _dd_add(ih, il, a[2][i, i], a[3][i, i])
-    return rh, rl, ih, il
-
-
-# Relative roundoff of one compensated operation, with slop for the
-# few uncompensated cross terms inside complex products.
-_EPS_DD = 4.0 * _EPS_LD * _EPS_LD
-
-
-def _wrap_cdd(m: np.ndarray):
-    """Lift an extended-precision matrix into double-word form (low words zero)."""
-    n = m.shape[0]
-    zero = np.zeros((n, n), dtype=np.longdouble)
-    mld = m.astype(_LD)
-    return (
-        np.real(mld).astype(np.longdouble),
-        zero.copy(),
-        np.imag(mld).astype(np.longdouble),
-        zero.copy(),
-    )
-
-
-def _char_poly_dd(mdd, entry_err: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Monic characteristic polynomial plus per-coefficient noise bounds.
-
-    Faddeev-LeVerrier recursion carried out in compensated (double-word)
-    extended precision.  The recursion cancels catastrophically on the
-    near-singular products this module exists to handle: in plain
-    extended precision the trailing coefficients come out with absolute
-    noise thousands of eps above the entry scale, indistinguishable
-    from the genuinely tiny coefficients carrying the small
-    eigenvalues.  Compensation pushes the recursion's own roundoff down
-    to ~eps^2 of the magnitudes that flow through it.
-
-    Alongside the coefficients, the same recursion is run on entrywise
-    magnitude and error-bound matrices: entry_err (absolute, per entry
-    of the input; None means the input is exact) is propagated through
-    every product and trace together with the compensated roundoff, so
-    noise[k] is an honest upper bound on |a_k - a_k^exact|.  The caller
-    uses it to decide which trailing coefficients carry no information.
-
-    Coefficients are rounded back to single extended-precision words;
-    that relative eps is included in the returned bounds.
-    """
-    n = mdd[0].shape[0]
-    a = np.zeros(n + 1, dtype=_LD)
-    a[0] = 1.0
-    noise = np.zeros(n + 1, dtype=np.longdouble)
-    am = mdd
-    abs_m = np.hypot(am[0], am[2])
-    err_m = (
-        entry_err.astype(np.longdouble)
-        if entry_err is not None
-        else np.zeros((n, n), dtype=np.longdouble)
-    )
-    mk = tuple(c.copy() for c in am)
-    mk_mag = abs_m.copy()
-    mk_err = err_m.copy()
-    diag = np.arange(n)
-    for k in range(1, n + 1):
-        tr = _cdd_trace(mk)
-        cr = _dd_div_int(-tr[0], -tr[1], k)
-        ci = _dd_div_int(-tr[2], -tr[3], k)
-        a[k] = np.clongdouble(cr[0] + cr[1]) + np.clongdouble(ci[0] + ci[1]) * np.clongdouble(1j)
-        c_abs = np.longdouble(abs(complex(a[k])))
-        # error of the double-word value of c_k; the shift below uses
-        # that double-word form, so only noise[k], which describes the
-        # rounded-back coefficient, carries the extra eps * |c_k|
-        c_err = (np.sum(mk_err[diag, diag]) + _EPS_DD * np.sum(mk_mag[diag, diag])) / k
-        c_err = c_err + _EPS_DD * c_abs
-        noise[k] = c_err + _EPS_LD * c_abs
-        if k < n:
-            shifted = tuple(c.copy() for c in mk)
-            sr = _dd_add(shifted[0][diag, diag], shifted[1][diag, diag], cr[0], cr[1])
-            si = _dd_add(shifted[2][diag, diag], shifted[3][diag, diag], ci[0], ci[1])
-            shifted[0][diag, diag] = sr[0]
-            shifted[1][diag, diag] = sr[1]
-            shifted[2][diag, diag] = si[0]
-            shifted[3][diag, diag] = si[1]
-            sh_mag = mk_mag.copy()
-            sh_mag[diag, diag] += c_abs
-            sh_err = mk_err.copy()
-            sh_err[diag, diag] += c_err
-            mk = _cdd_matmul(am, shifted)
-            mk_err = abs_m @ sh_err + err_m @ sh_mag + (n * _EPS_DD) * (abs_m @ sh_mag)
-            mk_mag = abs_m @ sh_mag
-    return a, noise
-
-
-def _char_poly(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Characteristic polynomial of an extended-precision matrix taken as exact."""
-    return _char_poly_dd(_wrap_cdd(m), None)
-
-
-def _durand_kerner(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All roots of a monic polynomial by simultaneous iteration.
-
-    Returns (roots, last_step_sizes); the step sizes double as per-root
-    uncertainty estimates for the cluster merge that follows.  Stops
-    when every root's movement is below DK_REL_TOL relative to that
-    root's own magnitude, or when every residual |p(z)| is at its
-    backward-error floor (multiple roots stall before the movement test
-    can fire).  The movement test must be per-root relative: the small
-    eigenvalues these polynomials carry sit many orders of magnitude
-    below the large ones, and a movement test relative to the overall
-    scale would stop while they still hold errors as large as
-    themselves.
-    """
-    deg = len(coeffs) - 1
-    if deg == 1:
-        return np.array([-coeffs[1]], dtype=_LD), np.zeros(1)
-    radius = 1.0 + float(np.max(np.abs(coeffs[1:])))
-    center = complex(-coeffs[1] / deg)
-    # the 0.4 offset keeps starting points off the real axis, where
-    # real-coefficient polynomials have symmetric stall configurations
-    z = np.array(
-        [center + radius * cmath.exp(1j * (2 * math.pi * k / deg + 0.4)) for k in range(deg)],
-        dtype=_LD,
-    )
-    amag = np.abs(coeffs)
-    last_step = np.zeros(deg)
-    for _ in range(DK_MAX_SWEEPS):
-        p = np.full(deg, coeffs[0], dtype=_LD)
-        scale = np.full(deg, float(amag[0]), dtype=np.longdouble)
-        az = np.abs(z)
-        for c, ac in zip(coeffs[1:], amag[1:]):
-            p = p * z + c
-            scale = scale * az + ac
-        floor_hit = bool(np.all(np.abs(p) <= 16 * _EPS_LD * scale))
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        denom = np.prod(diff, axis=1)
-        if np.any(denom == 0):
-            z = z + (denom == 0) * (1e-8 * (1 + np.abs(z)))
-            continue
-        step = p / denom
-        z = z - step
-        last_step = np.abs(step).astype(float)
-        move = float(np.max(last_step / np.maximum(np.abs(z).astype(float), 1e-300)))
-        if move <= DK_REL_TOL or floor_hit:
-            return z, last_step
-    raise NoConvergence(f"root iteration did not settle in {DK_MAX_SWEEPS} sweeps")
-
-
-def _poly_derivative(coeffs: np.ndarray) -> np.ndarray:
-    deg = len(coeffs) - 1
-    return coeffs[:-1] * np.arange(deg, 0, -1, dtype=np.longdouble)
-
-
-def _poly_eval_with_noise(coeffs: np.ndarray, z) -> tuple[complex, float]:
-    """Horner evaluation plus a running bound on its own roundoff.
-
-    The returned noise level is eps * (Horner recurrence on |a_k| and
-    |z|), the standard running error estimate; together with the
-    relative eps each stored coefficient carries, it is the smallest
-    |p(z)| the data can distinguish from zero.
-    """
-    p = coeffs[0]
-    mag = abs(complex(coeffs[0]))
-    az = abs(complex(z))
-    for c in coeffs[1:]:
-        p = p * z + c
-        mag = mag * az + abs(complex(c))
-    return p, _EPS_LD * mag
-
-
-def _polish_cluster_center(coeffs: np.ndarray, center, m: int, spread: float, scale: float):
-    """Refine the center of an m-fold root cluster.
-
-    An exact m-fold root of p is a simple, well-conditioned root of
-    p^(m-1), while the individual cluster members (and their plain
-    mean, when the stall positions are asymmetric) only carry
-    m-th-root-of-eps accuracy.  A few Newton steps on the derivative
-    recover the center to full working precision.  If Newton walks
-    outside the cluster (it found some other critical point), the mean
-    is kept.
-    """
-    d = np.array(coeffs, dtype=_LD)
-    for _ in range(m - 1):
-        d = _poly_derivative(d)
-    z = center
-    accept = 4.0 * spread + 1024.0 * _EPS_LD * (scale + abs(complex(center)))
-    for _ in range(4):
-        p = d[0]
-        dp = d[0] * 0
-        for c in d[1:]:
-            dp = dp * z + p
-            p = p * z + c
-        if dp == 0:
-            return center
-        z = z - p / dp
-        if abs(complex(z - center)) > accept:
-            return center
-    return z
-
-
-def _consistent_with_multiple_root(coeffs: np.ndarray, z, m: int) -> bool:
-    """True when the data cannot distinguish z from an exact m-fold root.
-
-    p and its first m-1 derivatives must all vanish at z to within
-    evaluation roundoff (the coefficients themselves are accurate to a
-    relative eps, so evaluation noise is the only floor left).  A
-    genuinely split pair at distance 2d leaves |p'| of order
-    d^2 * |cofactor| at the midpoint, far above that floor, so it is
-    never absorbed.
-    """
-    d = coeffs
-    for _ in range(m):
-        val, noise = _poly_eval_with_noise(d, z)
-        if abs(complex(val)) > 1024.0 * noise:
-            return False
-        d = _poly_derivative(d)
-    return True
-
-
-def _group_by_linkage(roots: np.ndarray, radii: np.ndarray) -> list[list[int]]:
-    """Single-linkage grouping: i and k join when closer than radii[i]+radii[k]."""
-    n = len(roots)
-    used = np.zeros(n, dtype=bool)
-    groups = []
-    order = np.argsort(-np.abs(roots))
-    for i in order:
-        if used[i]:
-            continue
-        group = [i]
-        used[i] = True
-        frontier = [i]
-        while frontier:
-            base = frontier.pop()
-            for k in order:
-                if used[k]:
-                    continue
-                if abs(complex(roots[base] - roots[k])) <= radii[base] + radii[k]:
-                    group.append(k)
-                    used[k] = True
-                    frontier.append(k)
-        groups.append(group)
-    return groups
-
-
-def _merge_root_clusters(
-    roots: np.ndarray, errs: np.ndarray, scale: float, coeffs: np.ndarray
-) -> np.ndarray:
-    """Collapse stalled multiple-root clusters to their polished centers.
-
-    Candidate groups are formed generously: an m-fold root can stall
-    scattered over a radius of order eps^(1/m), far wider than the
-    final step sizes suggest.  A candidate merge is kept only when the
-    polished center passes the multiple-root consistency test; genuine
-    close-but-distinct roots fail it and fall back to a conservative
-    step-size-based merge, so they are never absorbed.
-    """
-    deg = len(roots)
-    # Generous linkage radius: a deg-fold root can stall scattered over
-    # the deg-th root of the coefficient noise.
-    stall = float((16384.0 * _EPS_LD) ** (1.0 / deg)) if deg > 1 else 0.0
-    radii = np.array(
-        [max(16.0 * errs[i], stall * (scale + abs(complex(roots[i])))) for i in range(deg)]
-    )
-    out = np.empty_like(roots)
-    pos = 0
-    for group in _group_by_linkage(roots, radii):
-        merged = None
-        if len(group) > 1:
-            mean = np.mean(roots[group])
-            spread = float(max(abs(complex(r - mean)) for r in roots[group]))
-            center = _polish_cluster_center(coeffs, mean, len(group), spread, scale)
-            if _consistent_with_multiple_root(coeffs, center, len(group)):
-                merged = center
-        if merged is not None:
-            for _ in group:
-                out[pos] = merged
-                pos += 1
-            continue
-        # Not one multiple root: merge conservatively by step size.
-        sub_used = set()
-        for i in group:
-            if i in sub_used:
-                continue
-            sub = [i]
-            sub_used.add(i)
-            for k in group:
-                if k in sub_used:
-                    continue
-                thr = 16 * (errs[i] + errs[k]) + 64 * _EPS_LD * (
-                    scale + abs(complex(roots[i])) + abs(complex(roots[k]))
-                )
-                if abs(complex(roots[i] - roots[k])) <= thr:
-                    sub.append(k)
-                    sub_used.add(k)
-            value = np.mean(roots[sub])
-            if len(sub) > 1:
-                spread = float(max(abs(complex(r - value)) for r in roots[sub]))
-                value = _polish_cluster_center(coeffs, value, len(sub), spread, scale)
-            for _ in sub:
-                out[pos] = value
-                pos += 1
-    return out
-
-
-def _roots_from_char_poly(
-    coeffs: np.ndarray, noise: np.ndarray, real_spectrum: bool
-) -> np.ndarray:
-    """Shared back end: strip unresolvable coefficients, then iterate roots.
-
-    Trailing coefficients within 64x of their own noise bound carry no
-    information; each one stripped is an exact zero eigenvalue, which
-    is what rank-deficient inputs actually have, and solving for those
-    roots instead would root-amplify the noise into visible junk.
-    Coefficients that survive sit far enough above their bound that the
-    roots they encode are genuine.
-    """
-    n = len(coeffs) - 1
-    if real_spectrum:
-        coeffs = coeffs.real.astype(_LD)
-
-    mags = [float(abs(complex(coeffs[k]))) ** (1.0 / k) for k in range(1, n + 1) if coeffs[k] != 0]
-    scale = max(mags) if mags else 0.0
-    if scale == 0.0:
-        return np.zeros(n, dtype=complex)
-
-    work = list(coeffs)
-    n_zero = 0
-    while len(work) > 1:
-        k = len(work) - 1
-        if abs(complex(work[-1])) <= 64.0 * float(noise[k]):
-            work.pop()
-            n_zero += 1
-        else:
-            break
-
-    if len(work) > 1:
-        work_arr = np.array(work, dtype=_LD)
-        roots, errs = _durand_kerner(work_arr)
-        if len(roots) > 1:
-            roots = _merge_root_clusters(roots, errs, scale, work_arr)
-    else:
-        roots = np.zeros(0, dtype=_LD)
-
-    vals = np.concatenate([roots.astype(complex), np.zeros(n_zero, dtype=complex)])
-    if real_spectrum:
-        vals = vals.real.astype(complex)
-    return vals
-
-
-def eigvals_general_small(m, real_spectrum: bool = False) -> np.ndarray:
-    """Eigenvalues (with multiplicity, unordered) of a small general matrix.
-
-    Characteristic polynomial + Durand-Kerner, both in extended
-    precision, with trailing coefficients stripped when they fall below
-    their computed noise floor (see _roots_from_char_poly).
-
-    real_spectrum=True asserts the caller knows the spectrum is real
-    (e.g. the matrix is a product similar to a PSD one); imaginary
-    parts of the polynomial coefficients and of the computed roots are
-    then discarded, which removes conjugate-pair roundoff splitting.
-
-    Input may be complex128 or clongdouble; extended-precision input is
-    used as-is and treated as exact, so callers can hand over matrices
-    formed in extended precision without losing accuracy at the door.
-    """
-    a = np.asarray(m)
-    if a.dtype != _LD:
-        a = _as_complex_matrix(a)
-    elif a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise DimensionTooLarge(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n > GENERAL_EIG_MAX_DIM:
-        raise DimensionTooLarge(f"dim {n} exceeds {GENERAL_EIG_MAX_DIM}")
-    coeffs, noise = _char_poly(a)
-    return _roots_from_char_poly(coeffs, noise, real_spectrum)
-
-
-def eigvals_product_small(x, y, real_spectrum: bool = False) -> np.ndarray:
-    """Eigenvalues of the product x @ y, formed in compensated precision.
-
-    The factors are taken as exact (pass double-precision data; the
-    cast to extended precision is lossless).  Forming the product in
-    working precision first would be the dominant error source by far:
-    the products this package cares about are severely nonnormal, with
-    eigenvalues many orders of magnitude below the entry scale, and
-    rounding each product entry wipes out the trailing characteristic
-    coefficients that encode the small eigenvalues.  A compensated
-    product keeps those coefficients accurate down to the square of
-    working epsilon, and the error bound handed to the root pipeline
-    reflects exactly that.
-    """
-    a = _as_complex_matrix(x)
-    b = _as_complex_matrix(y)
-    if a.shape != b.shape:
-        raise DimensionTooLarge(f"factor shapes {a.shape} and {b.shape} differ")
-    n = a.shape[0]
-    if n > GENERAL_EIG_MAX_DIM:
-        raise DimensionTooLarge(f"dim {n} exceeds {GENERAL_EIG_MAX_DIM}")
-    prod = _cdd_matmul(_wrap_cdd(a.astype(_LD)), _wrap_cdd(b.astype(_LD)))
-    entry_err = (n * _EPS_DD) * (np.abs(a).astype(np.longdouble) @ np.abs(b).astype(np.longdouble))
-    coeffs, noise = _char_poly_dd(prod, entry_err)
-    return _roots_from_char_poly(coeffs, noise, real_spectrum)

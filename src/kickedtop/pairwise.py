@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NotPhysical, NumericalFailure
-from .numerics import hermitian_eigen
+from .numerics import EigenDecomposition, hermitian_eigen
 from .spin import SymmetricState, collective_operators, SpinQuantum
 
 TRACE_TOL = 1e-10
@@ -44,9 +44,14 @@ class CollectiveExpectations:
 
 @dataclass(frozen=True)
 class TwoQubitDensity:
-    """4x4 two-qubit density matrix with named entry accessors."""
+    """4x4 two-qubit density matrix with named entry accessors.
+
+    eig is the Hermitian eigendecomposition of rho made by the positivity
+    check in from_matrix, kept so that consumers need not repeat it.
+    """
 
     rho: np.ndarray = field(repr=False)
+    eig: EigenDecomposition = field(repr=False, compare=False)
 
     @classmethod
     def from_matrix(cls, rho: np.ndarray) -> "TwoQubitDensity":
@@ -65,10 +70,11 @@ class TwoQubitDensity:
         tr = sym.trace().real
         if abs(tr - 1) > TRACE_TOL:
             raise NotPhysical(f"trace = {tr!r}, expected 1")
-        lo = hermitian_eigen(sym).values[0]
+        eig = hermitian_eigen(sym)
+        lo = eig.values[0]
         if lo < PSD_FLOOR:
             raise NotPhysical(f"eigenvalue {lo:.3e} below {PSD_FLOOR:.1e}")
-        return cls(rho=sym)
+        return cls(rho=sym, eig=eig)
 
     @property
     def v_plus(self) -> float:

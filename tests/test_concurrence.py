@@ -9,7 +9,6 @@ from kickedtop import (
     spin_coherent,
     DomainError,
     NotPhysical,
-    NumericalFailure,
     WrongStructure,
     binary_entropy,
     collective_expectations,
@@ -23,8 +22,7 @@ from kickedtop import (
     von_neumann_entropy,
     wootters,
 )
-from kickedtop.concurrence import _sqrt_descending
-from oracles import concurrence_power_iteration, random_density
+from oracles import concurrence_power_iteration, power_iteration_eigvals, random_density
 
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[0, 0] = BELL[0, 3] = BELL[3, 0] = BELL[3, 3] = 0.5
@@ -128,6 +126,31 @@ def test_wootters_resolves_small_lambda_under_cancellation():
         np.testing.assert_allclose(res.lambdas, want, rtol=0.0, atol=1e-14)
 
 
+def test_wootters_lambdas_on_graded_rank_deficient_states_match_oracle():
+    # rho = V diag(d) V^dagger of rank 2 and 3 with d spanning up to
+    # eight orders of magnitude: wootters drops the null eigencomponents
+    # of rho, and the kept small ones must still yield every lambda.
+    # Reference: descending sqrt of the extended-precision power-iteration
+    # eigenvalues of rho rho~, formed as concurrence_power_iteration does.
+    rng = np.random.default_rng(41)
+    signs = np.array([-1.0, 1.0, 1.0, -1.0])
+    for smallest in (1e-4, 1e-6, 1e-8):
+        for d in ([1.0, smallest], [1.0, math.sqrt(smallest), smallest]):
+            for _ in range(5):
+                z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                q, r = np.linalg.qr(z)
+                v = (q * (np.diag(r) / np.abs(np.diag(r))))[:, : len(d)]
+                rho = (v * np.array(d)) @ v.conj().T
+                rho = (rho + rho.conj().T) / 2.0
+                rho /= rho.trace().real
+                flipped = rho.conj()[::-1, ::-1] * np.outer(signs, signs)
+                prod = rho.astype(np.clongdouble) @ flipped.astype(np.clongdouble)
+                vals = np.array([complex(x).real for x in power_iteration_eigvals(prod)])
+                want = np.sort(np.sqrt(np.maximum(vals, 0.0)))[::-1]
+                res = wootters(rho)
+                np.testing.assert_allclose(res.lambdas, want, rtol=0.0, atol=1e-9)
+
+
 def test_dicke_form_agrees_with_wootters_and_closed_form():
     for n_qubits in (3, 6, 9):
         for n in range(n_qubits + 1):
@@ -179,13 +202,6 @@ def test_shortcuts_reject_off_pattern_matrices():
         concurrence_x_form(coherent_pair)
     with pytest.raises(WrongStructure):
         concurrence_dicke_form(coherent_pair)
-
-
-def test_sqrt_descending_rejects_real_negatives():
-    with pytest.raises(NumericalFailure):
-        _sqrt_descending(np.array([1.0, -1e-3]))
-    out = _sqrt_descending(np.array([0.04, -1e-9, 0.25, 0.0]))
-    np.testing.assert_allclose(out, [0.5, 0.2, 0.0, 0.0], atol=1e-12)
 
 
 def test_dicke_closed_special_values_are_exact():

@@ -37,8 +37,6 @@ def test_params_validation():
         KickedTopParams(q, math.nan)
     with pytest.raises(DomainError):
         KickedTopParams(q, 1.0, p=math.inf)
-    with pytest.raises(DomainError):
-        KickedTopParams(q, 1.0, tau=0.0)
 
 
 def test_floquet_is_unitary_across_spin_sizes():

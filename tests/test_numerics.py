@@ -1,4 +1,4 @@
-"""Eigenvalue machinery: Hermitian path, general small path, product path."""
+"""Hermitian eigendecomposition and the unitaries built from it."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from kickedtop import (
     DimensionTooLarge,
     NotHermitian,
-    eigvals_general_small,
-    eigvals_product_small,
     hermitian_eigen,
     unitary_from_hermitian,
 )
@@ -16,23 +14,6 @@ from kickedtop import (
 def random_hermitian(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (a + a.conj().T) / 2
-
-
-def sorted_real(vals):
-    return np.sort(np.real(vals))
-
-
-def match_unordered(got, want, tol):
-    """Greedy bipartite match of two complex multisets."""
-    got = list(got)
-    for w in want:
-        i = int(np.argmin([abs(g - w) for g in got]))
-        assert abs(got[i] - w) <= tol, f"no partner for {w}: nearest {got[i]}"
-        got.pop(i)
-    assert not got
-
-
-# -- Hermitian path ---------------------------------------------------------
 
 
 def test_hermitian_eigen_matches_lapack_and_reconstructs():
@@ -78,97 +59,3 @@ def test_unitary_from_hermitian_group_properties():
     uab = unitary_from_hermitian(h, 1.4)
     np.testing.assert_allclose(ua @ ub, uab, atol=1e-13)
     np.testing.assert_allclose(ua @ ua.conj().T, np.eye(5), atol=1e-13)
-
-
-# -- general small eigenvalues ----------------------------------------------
-
-
-def test_general_eigvals_match_lapack_on_random_matrices():
-    rng = np.random.default_rng(3)
-    for dim in range(1, 9):
-        for _ in range(8):
-            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            got = eigvals_general_small(a)
-            match_unordered(got, np.linalg.eigvals(a), 1e-11 * max(1.0, abs(a).max()))
-
-
-def test_general_eigvals_exact_integer_spectrum():
-    got = sorted_real(eigvals_general_small(np.diag([1.0, 2.0, 3.0])))
-    np.testing.assert_allclose(got, [1.0, 2.0, 3.0], atol=1e-15)
-
-
-def test_general_eigvals_defective_and_nilpotent():
-    jordan = np.array([[2.0, 1.0], [0.0, 2.0]])
-    np.testing.assert_allclose(sorted_real(eigvals_general_small(jordan)), [2.0, 2.0], atol=1e-9)
-    triple = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]])
-    np.testing.assert_allclose(sorted_real(eigvals_general_small(triple)), [2.0, 2.0, 2.0], atol=1e-6)
-    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_allclose(sorted_real(eigvals_general_small(nilpotent)), [0.0, 0.0], atol=1e-15)
-
-
-def test_general_eigvals_resolve_severely_graded_spectrum():
-    # 25 orders of magnitude between the two eigenvalues; a solver that
-    # works at the matrix scale would round the small one to zero
-    got = sorted_real(eigvals_general_small(np.diag([1.0, 1e-25]), real_spectrum=True))
-    np.testing.assert_allclose(got, [1e-25, 1.0], rtol=1e-12)
-
-
-def test_general_eigvals_real_spectrum_strips_conjugate_splitting():
-    rng = np.random.default_rng(5)
-    h = random_hermitian(rng, 4)
-    got = eigvals_general_small(h, real_spectrum=True)
-    assert np.all(got.imag == 0.0)
-    np.testing.assert_allclose(np.sort(got.real), np.linalg.eigvalsh(h), atol=1e-12)
-
-
-def test_general_eigvals_dimension_limits():
-    with pytest.raises(DimensionTooLarge):
-        eigvals_general_small(np.eye(9))
-    with pytest.raises(DimensionTooLarge):
-        eigvals_general_small(np.zeros((2, 3)))
-
-
-def test_general_eigvals_accepts_extended_precision_input():
-    a = np.diag([1.0, 1e-20]).astype(np.clongdouble)
-    got = sorted_real(eigvals_general_small(a, real_spectrum=True))
-    np.testing.assert_allclose(got, [1e-20, 1.0], rtol=1e-12)
-
-
-# -- product-of-factors eigenvalues -----------------------------------------
-
-
-def test_product_eigvals_match_lapack_on_benign_products():
-    rng = np.random.default_rng(17)
-    for dim in range(1, 9):
-        for _ in range(6):
-            x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            got = eigvals_product_small(x, y)
-            match_unordered(got, np.linalg.eigvals(x @ y), 1e-10 * max(1.0, abs(x @ y).max()))
-
-
-def test_product_eigvals_exact_cancellation_gives_exact_zeros():
-    # x @ y = 0 in exact arithmetic entry by entry
-    x = np.array([[1.0, 1.0], [1.0, 1.0]])
-    y = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    got = eigvals_product_small(x, y, real_spectrum=True)
-    assert np.all(got == 0.0)
-
-
-def test_product_eigvals_resolve_small_eigenvalue_under_cancellation():
-    # factors whose product is diag(1, 1e-25) only after cancellation
-    # of O(1) summands; forming the product in double precision first
-    # loses the small eigenvalue completely
-    d = np.diag([1.0, 1e-25])
-    q = np.array([[3.0 / 5.0, -4.0 / 5.0], [4.0 / 5.0, 3.0 / 5.0]])
-    got = sorted_real(eigvals_product_small(q @ d, q.T, real_spectrum=True))
-    # q @ d is exact (denominators are powers of 2 away from exact fifths)
-    # only up to rounding of the entries themselves, so allow that much
-    np.testing.assert_allclose(got, [1e-25, 1.0], rtol=1e-10)
-
-
-def test_product_eigvals_validates_shapes():
-    with pytest.raises(DimensionTooLarge):
-        eigvals_product_small(np.eye(2), np.eye(3))
-    with pytest.raises(DimensionTooLarge):
-        eigvals_product_small(np.eye(9), np.eye(9))
