@@ -34,22 +34,14 @@ _SQRT3 = math.sqrt(3.0)
 class ParityBasis:
     """Parity eigenvectors of the 3-qubit symmetric subspace.
 
-    Each vector is given twice: over the 8-dimensional product basis
-    |q1 q2 q3> (index 4*q1 + 2*q2 + q3) and as 4 coordinates over the
-    symmetric states ordered by the number of qubits in |0>:
-    (|111>, |W-bar>, |W>, |000>).  `embedding` is the 8x4 isometry
-    whose columns are those symmetric states in the product basis.
+    Each vector is 4 coordinates over the symmetric states ordered by
+    the number of qubits in |0>: (|111>, |W-bar>, |W>, |000>).
     """
 
-    phi1_plus: np.ndarray
-    phi2_plus: np.ndarray
-    phi1_minus: np.ndarray
-    phi2_minus: np.ndarray
     sym_phi1_plus: np.ndarray
     sym_phi2_plus: np.ndarray
     sym_phi1_minus: np.ndarray
     sym_phi2_minus: np.ndarray
-    embedding: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,39 +74,18 @@ def parity_operator(q: SpinQuantum) -> np.ndarray:
 
 
 def build_parity_basis() -> ParityBasis:
-    """The four parity eigenvectors spanning the j = 3/2 subspace."""
-    dim = 8
-    e = np.eye(dim, dtype=complex)
-    ket000 = e[0]
-    ket111 = e[7]
-    w = (e[1] + e[2] + e[4]) / _SQRT3
-    w_bar = (e[3] + e[5] + e[6]) / _SQRT3
+    """The four parity eigenvectors spanning the j = 3/2 subspace.
 
+    phi1_pm = (|000> -+ i|111>)/sqrt(2) and phi2_pm = (|W> +- i|W-bar>)/sqrt(2),
+    with W the one-|1> and W-bar the two-|1> symmetric states.
+    """
+    ket111, w_bar, w, ket000 = np.eye(4, dtype=complex)
     s2 = 1.0 / math.sqrt(2.0)
-    phi1_plus = s2 * (ket000 - 1j * ket111)
-    phi1_minus = s2 * (ket000 + 1j * ket111)
-    phi2_plus = s2 * (w + 1j * w_bar)
-    phi2_minus = s2 * (w - 1j * w_bar)
-
-    # Symmetric coordinates: index n counts qubits in |0>.
-    embedding = np.zeros((dim, 4), dtype=complex)
-    for idx in range(dim):
-        zeros = 3 - bin(idx).count("1")
-        embedding[idx, zeros] = 1.0 / math.sqrt(math.comb(3, zeros))
-
-    def coords(vec: np.ndarray) -> np.ndarray:
-        return embedding.conj().T @ vec
-
     return ParityBasis(
-        phi1_plus=phi1_plus,
-        phi2_plus=phi2_plus,
-        phi1_minus=phi1_minus,
-        phi2_minus=phi2_minus,
-        sym_phi1_plus=coords(phi1_plus),
-        sym_phi2_plus=coords(phi2_plus),
-        sym_phi1_minus=coords(phi1_minus),
-        sym_phi2_minus=coords(phi2_minus),
-        embedding=embedding,
+        sym_phi1_plus=s2 * (ket000 - 1j * ket111),
+        sym_phi2_plus=s2 * (w + 1j * w_bar),
+        sym_phi1_minus=s2 * (ket000 + 1j * ket111),
+        sym_phi2_minus=s2 * (w - 1j * w_bar),
     )
 
 

@@ -37,17 +37,20 @@ def _fmt(value) -> str:
 
 
 def _emit(header: list[str], rows: list[tuple], out_path: str | None) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    """Write the CSV line by line; rows is complete before anything is written."""
+
+    def write(f) -> None:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+
     if out_path is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
     try:
         with os.fdopen(fd, "w", newline="") as f:
-            f.write(text)
+            write(f)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):

@@ -2,8 +2,10 @@
 
 For a permutation-symmetric state every qubit pair has the same reduced
 density matrix, and it is determined entirely by collective first and
-second moments.  The matrix lives on the basis {|00>, |01>, |10>, |11>}
-and has the named entries
+second moments (Wang and Molmer, Eur. Phys. J. D 18, 385, 2002).  Each
+moment is an O(N) sum along the J+ ladder over the N+1 amplitudes, so no
+collective operator is ever formed.  The matrix lives on the basis
+{|00>, |01>, |10>, |11>} and has the named entries
 
         [ v+   x+*  x+*  u*  ]
         [ x+   w    y    x-* ]
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, NotPhysical, NumericalFailure
 from .numerics import EigenDecomposition, hermitian_eigen
-from .spin import SymmetricState, collective_operators, SpinQuantum
+from .spin import SymmetricState, _ladder
 
 TRACE_TOL = 1e-10
 HERMITIZE_TOL = 1e-10
@@ -35,7 +37,6 @@ class CollectiveExpectations:
     n_qubits: int
     sz: float
     sz2: float
-    sxsy_anti: float          # <[Sx, Sy]_+>
     sx2_plus_sy2: float
     splus: complex
     splus2: complex
@@ -106,36 +107,34 @@ class TwoQubitDensity:
 
 
 def collective_expectations(state: SymmetricState) -> CollectiveExpectations:
-    """Collective moments <Sz>, <Sz^2>, <S+>, <S+^2>, anticommutators.
+    """Collective moments <Sz>, <Sz^2>, <S+>, <S+^2>, <[S+, Sz]_+>.
+
+    Each is an O(N) sum along the ladder, read straight from the
+    amplitudes a_n with m_n = n - N/2 and c_n = <n+1|S+|n>:
+
+        <Sz^k>         = sum |a_n|^2 m_n^k
+        <S+>           = sum c_n a*_{n+1} a_n
+        <[S+, Sz]_+>   = sum c_n a*_{n+1} a_n (2 m_n + 1)
+        <S+^2>         = sum c_n c_{n+1} a*_{n+2} a_n
 
     <Sx^2 + Sy^2> comes from j(j+1) - <Sz^2>, exact on the symmetric
-    subspace; everything else is a direct matrix expectation.
-    Imaginary parts of Hermitian expectations are pure roundoff and are
-    dropped.
+    subspace.
     """
     n = state.n_qubits
-    ops = collective_operators(SpinQuantum(two_j=n))
-    psi = state.amps
+    a = state.amps
+    m, c = _ladder(n)
     j = n / 2
-
-    def expect(op):
-        return complex(np.vdot(psi, op @ psi))
-
-    sz = expect(ops.jz).real
-    sz2 = expect(ops.jz @ ops.jz).real
-    sxsy_anti = expect(ops.jx @ ops.jy + ops.jy @ ops.jx).real
-    splus = expect(ops.jplus)
-    splus2 = expect(ops.jplus @ ops.jplus)
-    splus_sz_anti = expect(ops.jplus @ ops.jz + ops.jz @ ops.jplus)
+    prob = a.real**2 + a.imag**2
+    hop = c * a[1:].conj() * a[:-1]
+    sz2 = float(np.dot(m * m, prob))
     return CollectiveExpectations(
         n_qubits=n,
-        sz=sz,
+        sz=float(np.dot(m, prob)),
         sz2=sz2,
-        sxsy_anti=sxsy_anti,
         sx2_plus_sy2=j * (j + 1) - sz2,
-        splus=splus,
-        splus2=splus2,
-        splus_sz_anti=splus_sz_anti,
+        splus=complex(hop.sum()),
+        splus2=complex(np.sum(c[1:] * c[:-1] * a[2:].conj() * a[:-2])),
+        splus_sz_anti=complex(np.dot(hop, 2 * m[:-1] + 1)),
     )
 
 
@@ -172,13 +171,10 @@ def epr_expectations(n_qubits: int) -> tuple[float, float]:
     J1+ J2+ couples (n, n) to (n+1, n+1) with the squared ladder
     coefficient.
     """
-    n = n_qubits
-    dim = n + 1
-    m = np.arange(dim) - n / 2
-    j = n / 2
+    m, c = _ladder(n_qubits)
+    dim = n_qubits + 1
     j1z_j2z = float(np.sum(m * m) / dim)
-    c = j * (j + 1) - m[:-1] * (m[:-1] + 1)  # <n+1|J+|n>^2
-    j1p_j2p = float(np.sum(c) / dim)
+    j1p_j2p = float(np.sum(c * c) / dim)
     return j1z_j2z, j1p_j2p
 
 

@@ -8,6 +8,7 @@ the bottom of the ladder and |n=N> = |00...0> is the top.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -66,15 +67,16 @@ class CollectiveOps:
     jminus: np.ndarray
 
 
-def _fix_global_phase(amps: np.ndarray) -> np.ndarray:
-    """Rotate so the lowest-index nonzero amplitude is real non-negative."""
-    idx = np.flatnonzero(np.abs(amps) > 0)
-    if len(idx) == 0:
-        return amps
-    ref = amps[idx[0]]
-    if ref == 0:
-        return amps
-    return amps * (abs(ref) / ref)
+def _ladder(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """m_n = n - N/2 for n = 0..N, and c_n = <n+1|J+|n> for n = 0..N-1.
+
+    c_n = sqrt(j(j+1) - m_n(m_n+1)): the one place the ladder convention
+    of the basis is written down.
+    """
+    j = n_qubits / 2
+    m = np.arange(n_qubits + 1) - j
+    c = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
+    return m, c
 
 
 def collective_operators(q: SpinQuantum) -> CollectiveOps:
@@ -83,13 +85,9 @@ def collective_operators(q: SpinQuantum) -> CollectiveOps:
     <m+1|J+|m> = sqrt(j(j+1) - m(m+1)) with m = n - N/2 ascending along
     the basis index.
     """
-    j = q.j
-    dim = q.dim
-    m = np.arange(dim) - j
+    m, c = _ladder(q.n_qubits)
     jz = np.diag(m.astype(complex))
-    jplus = np.zeros((dim, dim), dtype=complex)
-    for n in range(dim - 1):
-        jplus[n + 1, n] = math.sqrt(j * (j + 1) - m[n] * (m[n] + 1))
+    jplus = np.diag(c.astype(complex), k=-1)
     jminus = jplus.conj().T
     jx = (jplus + jminus) / 2
     jy = (jplus - jminus) / 2j
@@ -105,45 +103,63 @@ def number_state(n_qubits: int, n: int) -> SymmetricState:
     return SymmetricState(amps=amps)
 
 
+def _product_state(n_qubits: int, up: complex, down: complex) -> SymmetricState:
+    """N copies of the qubit up|0> + down|1>, as amplitudes over |n>.
+
+    amps[n] is proportional to binom(N,n)^(1/2) up^n down^(N-n).  The
+    magnitudes come from lgamma log-magnitudes scaled by their maximum
+    before exponentiating, so no binomial or power overflows at any N.
+    Amplitude n gets the phase (n - n0)(arg up - arg down), where n0 is
+    the lowest index whose magnitude did not underflow: the global
+    phase leaves that amplitude real and positive.
+    """
+    if up == 0:
+        return number_state(n_qubits, 0)
+    if down == 0:
+        return number_state(n_qubits, n_qubits)
+    ns = np.arange(n_qubits + 1)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n_qubits + 1)])
+    log_mag = (
+        0.5 * (log_fact[-1] - log_fact - log_fact[::-1])
+        + ns * math.log(abs(up))
+        + (n_qubits - ns) * math.log(abs(down))
+    )
+    mag = np.exp(log_mag - log_mag.max())
+    mag /= np.linalg.norm(mag)
+    n0 = np.flatnonzero(mag)[0]
+    alpha = cmath.phase(up) - cmath.phase(down)
+    return SymmetricState(amps=mag * np.exp(1j * alpha * (ns - n0)))
+
+
 def spin_coherent(n_qubits: int, eta: complex) -> SymmetricState:
     """Product state of N identical qubits, amplitudes binomial in eta.
 
-    amps[n] = (1+|eta|^2)^(-N/2) * binom(N,n)^(1/2) * eta^n.  eta = 0 is
-    the bottom pole |n=0>; |eta| -> infinity approaches the top pole.
+    amps[n] = (1+|eta|^2)^(-N/2) * binom(N,n)^(1/2) * eta^n, up to the
+    global phase that makes the lowest nonzero amplitude real and
+    positive.  eta = 0 is the bottom pole |n=0>; |eta| -> infinity
+    approaches the top pole.
     """
     if n_qubits < 1:
         raise IndexOutOfRange(f"n_qubits must be >= 1, got {n_qubits}")
-    eta = complex(eta)
-    ns = np.arange(n_qubits + 1)
-    amps = np.sqrt([math.comb(n_qubits, int(n)) for n in ns]) * eta**ns
-    amps = amps.astype(complex) * (1 + abs(eta) ** 2) ** (-n_qubits / 2)
-    amps /= np.linalg.norm(amps)  # remove float drift; analytically 1 already
-    return SymmetricState(amps=_fix_global_phase(amps))
+    return _product_state(n_qubits, complex(eta), 1.0)
 
 
 def coherent_from_angles(n_qubits: int, theta: float, phi: float) -> SymmetricState:
     """Coherent state pointed along (sin(theta)cos(phi), sin(theta)sin(phi), cos(theta)).
 
-    theta = 0 is the all-|0> top pole |n=N| with <Jz> = +N/2; theta = pi
-    (within POLE_SNAP_TOL) snaps to the exact bottom basis state, where
-    phi no longer matters.
+    Every qubit is cos(theta/2)|0> + e^(i phi) sin(theta/2)|1>, with the
+    same global phase convention as spin_coherent.  theta = 0 is the
+    all-|0> top pole |n=N| with <Jz> = +N/2; theta = pi (within
+    POLE_SNAP_TOL) snaps to the exact bottom basis state, where phi no
+    longer matters.
     """
     if n_qubits < 1:
         raise IndexOutOfRange(f"n_qubits must be >= 1, got {n_qubits}")
     if abs(theta - math.pi) <= POLE_SNAP_TOL:
         return number_state(n_qubits, 0)
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    ns = np.arange(n_qubits + 1)
-    amps = np.array(
-        [
-            math.sqrt(math.comb(n_qubits, int(n))) * c ** int(n) * s ** (n_qubits - int(n))
-            for n in ns
-        ],
-        dtype=complex,
+    return _product_state(
+        n_qubits, math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2)
     )
-    amps *= np.exp(1j * (n_qubits - ns) * phi)
-    amps /= np.linalg.norm(amps)
-    return SymmetricState(amps=_fix_global_phase(amps))
 
 
 def epr_state(n_qubits: int) -> np.ndarray:

@@ -3,8 +3,10 @@
 import csv
 import io
 import math
+import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -71,6 +73,31 @@ def test_coherent_emits_non_positive_c_lambda(capsys):
     assert header == ["eta", "c_lambda"]
     assert len(rows) == 4
     assert all(float(c) <= 0.0 for _, c in rows)
+
+
+@pytest.mark.parametrize("n_qubits", ["68", "80", "2000"])
+def test_coherent_at_large_n_is_exactly_separable(capsys, n_qubits):
+    # binom(N, n) passes 2^64 at N = 68 and the float range near
+    # N = 1030; the amplitudes must not go through either
+    code, out, err = run_cli(capsys, "coherent", "--N", n_qubits, "--eta", "1")
+    assert code == 0 and err == ""
+    _, rows = parse(out)
+    assert rows == [["1", "0"]]
+
+
+def test_qkt_series_from_a_near_pole_start_at_large_j(capsys):
+    # at theta0 = 0.05 the lowest amplitude of the 200-qubit start is
+    # subnormal; no step may divide by it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "qkt-series", "--j", "100", "--kappa0", "1",
+            "--theta0", "0.05", "--phi0", "0.3", "--n-max", "2",
+        )
+    assert code == 0 and err == ""
+    _, rows = parse(out)
+    assert [r[0] for r in rows] == ["1", "2"]
+    assert all(0.0 <= float(c) <= 1.0 for _, c in rows)
 
 
 def test_qkt_series_adds_analytic_column_for_three_qubits(capsys):
@@ -208,26 +235,27 @@ def test_numerical_failures_map_to_exit_three(monkeypatch, capsys):
     assert code == 3 and "numerical failure" in err
 
 
-def test_missing_required_flag_exits_two_with_usage():
-    proc = subprocess.run(
+def run_child(*argv):
+    # the child imports the same kickedtop as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
         [sys.executable, "-c",
-         "import sys; from kickedtop.cli import main; sys.exit(main())",
-         "lyapunov", "--kappa0", "1"],
+         "import sys; from kickedtop.cli import main; sys.exit(main())", *argv],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_missing_required_flag_exits_two_with_usage():
+    proc = run_child("lyapunov", "--kappa0", "1")
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
     assert "--steps" in proc.stderr
 
 
 def test_console_entry_point_end_to_end():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from kickedtop.cli import main; sys.exit(main())",
-         "epr", "--N", "2"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_child("epr", "--N", "2")
     assert proc.returncode == 0
     assert proc.stdout == "N,C\n2,0.5\n"

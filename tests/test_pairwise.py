@@ -9,8 +9,10 @@ from kickedtop import (
     DomainError,
     NotPhysical,
     NumericalFailure,
+    SpinQuantum,
     TwoQubitDensity,
     collective_expectations,
+    collective_operators,
     epr_expectations,
     epr_reduce,
     number_state,
@@ -44,7 +46,29 @@ def test_collective_expectations_on_number_states():
         assert abs(exp.splus) < 1e-12
         assert abs(exp.splus2) < 1e-12
         assert abs(exp.splus_sz_anti) < 1e-12
-        assert abs(exp.sxsy_anti) < 1e-12
+
+
+def test_ladder_sum_moments_match_dense_operator_expectations():
+    rng = np.random.default_rng(5)
+    for n_qubits in (1, 2, 3, 30, 200):
+        ops = collective_operators(SpinQuantum(n_qubits))
+        atol = 1e-12 * max(1.0, n_qubits**2)
+        for _ in range(4):
+            state = random_symmetric_state(rng, n_qubits)
+            psi = state.amps
+
+            def dense(op):
+                return complex(np.vdot(psi, op @ psi))
+
+            exp = collective_expectations(state)
+            assert exp.n_qubits == n_qubits
+            assert abs(exp.sz - dense(ops.jz)) < atol
+            assert abs(exp.sz2 - dense(ops.jz @ ops.jz)) < atol
+            assert abs(exp.sx2_plus_sy2 - dense(ops.jx @ ops.jx + ops.jy @ ops.jy)) < atol
+            assert abs(exp.splus - dense(ops.jplus)) < atol
+            assert abs(exp.splus2 - dense(ops.jplus @ ops.jplus)) < atol
+            anti = ops.jplus @ ops.jz + ops.jz @ ops.jplus
+            assert abs(exp.splus_sz_anti - dense(anti)) < atol
 
 
 def test_reduce_symmetric_matches_tensor_partial_trace():

@@ -9,6 +9,7 @@ from kickedtop import (
     IndexOutOfRange,
     SpinQuantum,
     coherent_from_angles,
+    collective_expectations,
     collective_operators,
     epr_state,
     number_state,
@@ -130,6 +131,22 @@ def test_coherent_matches_stereographic_parameterization():
         a = spin_coherent(n_qubits, eta).amps
         b = coherent_from_angles(n_qubits, 2.0 * math.atan(1.0 / eta), 0.0).amps
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def test_coherent_from_angles_at_large_n():
+    # (200, 0.05): the lowest amplitude sin(0.025)^200 is subnormal.
+    # (1100, 0.7): binom(1100, 550) is beyond the float range.
+    for n_qubits, theta, phi in [(200, 0.05, 0.3), (1100, 0.7, 0.3)]:
+        state = coherent_from_angles(n_qubits, theta, phi)
+        assert np.all(np.isfinite(state.amps))
+        assert abs(state.norm() - 1.0) < 1e-14
+        lead = state.amps[np.flatnonzero(state.amps)[0]]
+        assert lead.imag == 0.0 and lead.real > 0
+        exp = collective_expectations(state)
+        j = n_qubits / 2
+        assert abs(exp.sz - j * math.cos(theta)) < 1e-12 * j
+        want = j * math.sin(theta) * complex(math.cos(phi), math.sin(phi))
+        assert abs(exp.splus - want) < 1e-12 * j
 
 
 def test_global_phase_convention():
