@@ -62,6 +62,7 @@ from .kicked_top import (
     ConcurrenceSeries,
     KickedTopParams,
     concurrence_series,
+    concurrence_sweep,
     evolve,
     floquet,
     time_average,
@@ -130,6 +131,7 @@ __all__ = [
     "collective_operators",
     "concurrence_dicke_form",
     "concurrence_series",
+    "concurrence_sweep",
     "concurrence_x_form",
     "dicke_concurrence_closed",
     "entanglement_of_formation",

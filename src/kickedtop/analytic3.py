@@ -98,6 +98,8 @@ def chebyshev_table(n_max: int, kappa0: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
+    if not math.isfinite(kappa0):
+        raise DomainError(f"kappa0 must be finite, got {kappa0}")
     chi = math.sin(kappa0 / 3.0) / 2.0
     t = np.empty(n_max + 1)
     u = np.empty(n_max + 1)

@@ -20,9 +20,9 @@ import numpy as np
 
 from .analytic3 import analytic_concurrence_series
 from .classical import lyapunov_running
-from .concurrence import dicke_concurrence_closed, wootters
+from .concurrence import ConcurrenceResult, dicke_concurrence_closed, wootters
 from .errors import DomainError, NumericalError
-from .kicked_top import KickedTopParams, concurrence_series, time_average
+from .kicked_top import KickedTopParams, concurrence_series, concurrence_sweep, time_average
 from .pairwise import collective_expectations, epr_reduce, reduce_symmetric
 from .spin import SpinQuantum, number_state, spin_coherent
 
@@ -95,34 +95,39 @@ def _resolve_kappa0_single(kappa0: str | None, kappa: str | None) -> float:
     return values[0]
 
 
-def _pair_concurrence_of_state(state) -> float:
-    return wootters(reduce_symmetric(collective_expectations(state))).concurrence
+def _pair_wootters(states: list) -> ConcurrenceResult:
+    """Wootters' formula on the pair reductions of states, as one stack."""
+    stack = np.stack([state.amps for state in states])
+    return wootters(reduce_symmetric(collective_expectations(stack)))
 
 
 def cmd_dicke(args) -> None:
+    for bound in (args.M_min, args.M_max):
+        if bound is not None and not math.isfinite(bound):
+            raise DomainError(f"M bounds must be finite, got {bound}")
+    lo = -math.inf if args.M_min is None else args.M_min - 1e-12
+    hi = math.inf if args.M_max is None else args.M_max + 1e-12
     rows = []
     for n_qubits in sorted(_int_list(args.N)):
         if n_qubits < 2:
             raise DomainError("N must be >= 2")
-        for two_m in range(-n_qubits, n_qubits + 1, 2):
-            m = two_m / 2.0
-            if args.M_min is not None and m < args.M_min - 1e-12:
-                continue
-            if args.M_max is not None and m > args.M_max + 1e-12:
-                continue
-            closed = dicke_concurrence_closed(n_qubits, m)
-            state = number_state(n_qubits, (two_m + n_qubits) // 2)
-            numeric = _pair_concurrence_of_state(state)
-            rows.append((n_qubits, m, closed, numeric))
+        levels = [n for n in range(n_qubits + 1) if lo <= n - n_qubits / 2 <= hi]
+        if not levels:
+            continue
+        numeric = _pair_wootters([number_state(n_qubits, n) for n in levels]).concurrence
+        for n, c in zip(levels, numeric):
+            m = n - n_qubits / 2
+            rows.append((n_qubits, m, dicke_concurrence_closed(n_qubits, m), c))
     _emit(["N", "M", "C_closed", "C_numeric"], rows, args.out)
 
 
 def cmd_epr(args) -> None:
+    counts = sorted(_int_list(args.N))
+    if any(n_qubits < 1 for n_qubits in counts):
+        raise DomainError("N must be >= 1")
     rows = []
-    for n_qubits in sorted(_int_list(args.N)):
-        if n_qubits < 1:
-            raise DomainError("N must be >= 1")
-        rows.append((n_qubits, wootters(epr_reduce(n_qubits)).concurrence))
+    if counts:
+        rows = list(zip(counts, wootters(epr_reduce(counts)).concurrence))
     _emit(["N", "C"], rows, args.out)
 
 
@@ -130,11 +135,11 @@ def cmd_coherent(args) -> None:
     n_qubits = args.N
     if n_qubits < 2:
         raise DomainError("N must be >= 2")
+    etas = sorted(_float_list(args.eta))
     rows = []
-    for eta in sorted(_float_list(args.eta)):
-        state = spin_coherent(n_qubits, eta)
-        rho = reduce_symmetric(collective_expectations(state))
-        rows.append((eta, wootters(rho).c_lambda))
+    if etas:
+        c_lambda = _pair_wootters([spin_coherent(n_qubits, eta) for eta in etas]).c_lambda
+        rows = list(zip(etas, c_lambda))
     _emit(["eta", "c_lambda"], rows, args.out)
 
 
@@ -157,11 +162,8 @@ def cmd_qkt_sweep(args) -> None:
         grid = list(np.linspace(0.0, math.pi * q.j, SWEEP_GRID_POINTS))
     else:
         grid = _resolve_kappa0(args.kappa0, args.kappa)
-    rows = []
-    for kappa0 in sorted(grid):
-        params = KickedTopParams(q, kappa0)
-        series = concurrence_series(params, args.theta0, args.phi0, args.n_max)
-        rows.append((kappa0, time_average(series, args.burn_in)))
+    sweep = concurrence_sweep(q, sorted(grid), args.theta0, args.phi0, args.n_max)
+    rows = [(s.params.kappa0, time_average(s, args.burn_in)) for s in sweep]
     _emit(["kappa0", "C_timeavg"], rows, args.out)
 
 

@@ -51,11 +51,13 @@ class ConcurrenceResult:
     concurrence = max(0, c_lambda); lambdas are the four descending
     square-rooted eigenvalues of the spin-flip product.  c_lambda is
     kept because its sign separates "entangled" from "how far inside
-    the separable ball" and tests pin it directly.
+    the separable ball" and tests pin it directly.  For a stack of T
+    matrices concurrence and c_lambda are (T,) arrays and lambdas is
+    (T, 4).
     """
 
-    concurrence: float
-    c_lambda: float
+    concurrence: float | np.ndarray
+    c_lambda: float | np.ndarray
     lambdas: np.ndarray
 
 
@@ -66,40 +68,52 @@ def _density_matrix(rho) -> TwoQubitDensity:
     return TwoQubitDensity.from_matrix(np.asarray(rho))
 
 
+def _single_matrix(rho) -> TwoQubitDensity:
+    """A TwoQubitDensity holding one 4x4 matrix, for the structured shortcuts."""
+    dm = _density_matrix(rho)
+    if dm.rho.ndim != 2:
+        raise DomainError(f"expected one 4x4 matrix, got shape {dm.rho.shape}")
+    return dm
+
+
 def wootters(rho) -> ConcurrenceResult:
-    """Concurrence of an arbitrary two-qubit density matrix.
+    """Concurrence of an arbitrary two-qubit density matrix, or of a stack.
 
     rho is factored as X X^dagger with X = V sqrt(D) from its Hermitian
     eigendecomposition (the one TwoQubitDensity.from_matrix already
-    made for its positivity check), keeping the eigencomponents with
-    d > 16*eps*d_max (the rest are roundoff of a rank-deficient rho and
-    contribute nothing but noise).  The lambdas are the singular values
-    of tau = X^T S X, S = sigma_y x sigma_y, padded with zeros to four
-    when rho has lower rank.  Since the singular values of tau carry
-    absolute errors of order eps*tr(rho), lambdas far below the entry
-    scale come out accurate in absolute terms; nothing is squared and
-    then square-rooted.
+    made for its positivity check); eigencomponents with
+    d <= 16*eps*d_max are zeroed (they are roundoff of a rank-deficient
+    rho and contribute nothing but noise).  The lambdas are the
+    singular values of tau = X^T S X, S = sigma_y x sigma_y.  Since the
+    singular values of tau carry absolute errors of order eps*tr(rho),
+    lambdas far below the entry scale come out accurate in absolute
+    terms; nothing is squared and then square-rooted.
 
     One snap remains, for exactly separable states such as spin
     coherent pairs: when even lambda_1 <= 8*sqrt(eps)*tr(rho), the
     whole spectrum is taken as zero, so those states report
     concurrence and c_lambda of exactly 0.
+
+    A (T, 4, 4) stack runs every step matrix by matrix in one call
+    each; one 4x4 matrix is the T = 1 case and gives plain floats.
     """
     dm = _density_matrix(rho)
-    d = dm.eig.values
-    keep = d > 16.0 * _EPS * d.max()
-    x = dm.eig.vectors[:, keep] * np.sqrt(d[keep])
+    single = dm.rho.ndim == 2
+    d = dm.eig.values.reshape(-1, 4)
+    d = np.where(d > 16.0 * _EPS * d.max(axis=-1, keepdims=True), d, 0.0)
+    x = dm.eig.vectors.reshape(-1, 4, 4) * np.sqrt(d)[:, None, :]
     try:
-        sv = np.linalg.svd(x.T @ SPIN_FLIP @ x, compute_uv=False)
+        lam = np.linalg.svd(x.swapaxes(-1, -2) @ SPIN_FLIP @ x, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
 
-    lam = np.zeros(4)
-    lam[: sv.size] = sv
-    if lam[0] <= 8.0 * math.sqrt(_EPS) * float(np.trace(dm.rho).real):
-        lam[:] = 0.0
-    c_lambda = float(lam[0] - lam[1] - lam[2] - lam[3])
-    return ConcurrenceResult(max(0.0, c_lambda), c_lambda, lam)
+    trace = np.trace(dm.rho.reshape(-1, 4, 4), axis1=-2, axis2=-1).real
+    lam[lam[:, 0] <= 8.0 * math.sqrt(_EPS) * trace] = 0.0
+    c_lambda = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    concurrence = np.maximum(0.0, c_lambda)
+    if single:
+        return ConcurrenceResult(float(concurrence[0]), float(c_lambda[0]), lam[0])
+    return ConcurrenceResult(concurrence, c_lambda, lam)
 
 
 def concurrence_dicke_form(rho) -> float:
@@ -109,7 +123,7 @@ def concurrence_dicke_form(rho) -> float:
     coherences (u = x_plus = x_minus = 0, y real); then
     C = 2 max(0, y - sqrt(v_plus v_minus)).
     """
-    dm = _density_matrix(rho)
+    dm = _single_matrix(rho)
     r = dm.rho
     off = max(
         abs(r[3, 0]),
@@ -136,7 +150,7 @@ def concurrence_x_form(rho) -> float:
     formula additionally needs the two inner diagonals equal; that
     holds for every swap-symmetric reduction this package produces.
     """
-    dm = _density_matrix(rho)
+    dm = _single_matrix(rho)
     r = dm.rho
     off = max(
         abs(r[1, 0]),

@@ -12,11 +12,13 @@ collective operator is ever formed.  The matrix lives on the basis
         [ x+   y    w    x-* ]
         [ u    x-   x-   v-  ]
 
-with y real for symmetric states (swap symmetry forces it).
+with y real for symmetric states (swap symmetry forces it).  A stack of
+T states gives a (T, 4, 4) stack of these matrices in one call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,23 +34,37 @@ PSD_FLOOR = -1e-7
 
 @dataclass(frozen=True)
 class CollectiveExpectations:
-    """First and second collective moments of a symmetric state."""
+    """First and second collective moments of a symmetric state.
+
+    Each moment is a number for one state and a (T,) array for a
+    stack of T states.
+    """
 
     n_qubits: int
-    sz: float
-    sz2: float
-    sx2_plus_sy2: float
-    splus: complex
-    splus2: complex
-    splus_sz_anti: complex    # <[S+, Sz]_+>
+    sz: float | np.ndarray
+    sz2: float | np.ndarray
+    sx2_plus_sy2: float | np.ndarray
+    splus: complex | np.ndarray
+    splus2: complex | np.ndarray
+    splus_sz_anti: complex | np.ndarray    # <[S+, Sz]_+>
+
+
+def _check_rows(ok: np.ndarray, error: type, single: bool, message) -> None:
+    """Raise error for the first row where ok is False; name the row in a stack."""
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    raise error(message(i) if single else f"row {i}: {message(i)}")
 
 
 @dataclass(frozen=True)
 class TwoQubitDensity:
     """4x4 two-qubit density matrix with named entry accessors.
 
-    eig is the Hermitian eigendecomposition of rho made by the positivity
-    check in from_matrix, kept so that consumers need not repeat it.
+    rho is one (4, 4) matrix, or a (T, 4, 4) stack whose accessors
+    return (T,) arrays.  eig is the Hermitian eigendecomposition of rho
+    made by the positivity check in from_matrix, kept so that consumers
+    need not repeat it.
     """
 
     rho: np.ndarray = field(repr=False)
@@ -56,90 +72,111 @@ class TwoQubitDensity:
 
     @classmethod
     def from_matrix(cls, rho: np.ndarray) -> "TwoQubitDensity":
-        """Validate, symmetrize roundoff, and wrap a raw 4x4 matrix.
+        """Validate, symmetrize roundoff, and wrap a raw 4x4 matrix or a stack.
 
         Hermitizes via (rho + rho^dagger)/2 and insists the correction
-        is below HERMITIZE_TOL, then checks trace and positivity.
+        is below HERMITIZE_TOL, then checks trace and positivity.  Each
+        check runs on every matrix of a (T, 4, 4) stack, and its error
+        names the first failing row.
         """
         rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (4, 4):
-            raise DomainError(f"expected 4x4, got {rho.shape}")
-        sym = (rho + rho.conj().T) / 2
-        corr = np.abs(sym - rho).max()
-        if corr > HERMITIZE_TOL:
-            raise NumericalFailure(f"hermitizing moved an entry by {corr:.3e}")
-        tr = sym.trace().real
-        if abs(tr - 1) > TRACE_TOL:
-            raise NotPhysical(f"trace = {tr!r}, expected 1")
+        if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4) or rho.size == 0:
+            raise DomainError(f"expected 4x4 or a stack of 4x4, got {rho.shape}")
+        single = rho.ndim == 2
+        stack = rho.reshape(-1, 4, 4)
+        sym = (stack + stack.conj().swapaxes(-1, -2)) / 2
+        corr = np.abs(sym - stack).max(axis=(-2, -1))
+        _check_rows(corr <= HERMITIZE_TOL, NumericalFailure, single,
+                    lambda i: f"hermitizing moved an entry by {corr[i]:.3e}")
+        tr = np.trace(sym, axis1=-2, axis2=-1).real
+        _check_rows(np.abs(tr - 1) <= TRACE_TOL, NotPhysical, single,
+                    lambda i: f"trace = {float(tr[i])!r}, expected 1")
         eig = hermitian_eigen(sym)
-        lo = eig.values[0]
-        if lo < PSD_FLOOR:
-            raise NotPhysical(f"eigenvalue {lo:.3e} below {PSD_FLOOR:.1e}")
+        lo = eig.values[:, 0]
+        _check_rows(lo >= PSD_FLOOR, NotPhysical, single,
+                    lambda i: f"eigenvalue {lo[i]:.3e} below {PSD_FLOOR:.1e}")
+        if single:
+            return cls(rho=sym[0], eig=EigenDecomposition(eig.values[0], eig.vectors[0]))
         return cls(rho=sym, eig=eig)
 
-    @property
-    def v_plus(self) -> float:
-        return self.rho[0, 0].real
+    def _entry(self, row: int, col: int):
+        # [()] turns the 0-d result for one matrix into a scalar.
+        return self.rho[..., row, col][()]
 
     @property
-    def v_minus(self) -> float:
-        return self.rho[3, 3].real
+    def v_plus(self) -> float | np.ndarray:
+        return self._entry(0, 0).real
 
     @property
-    def w(self) -> float:
-        return self.rho[1, 1].real
+    def v_minus(self) -> float | np.ndarray:
+        return self._entry(3, 3).real
 
     @property
-    def y(self) -> complex:
-        return self.rho[2, 1]
+    def w(self) -> float | np.ndarray:
+        return self._entry(1, 1).real
 
     @property
-    def u(self) -> complex:
-        return self.rho[3, 0]
+    def y(self) -> complex | np.ndarray:
+        return self._entry(2, 1)
 
     @property
-    def x_plus(self) -> complex:
-        return self.rho[1, 0]
+    def u(self) -> complex | np.ndarray:
+        return self._entry(3, 0)
 
     @property
-    def x_minus(self) -> complex:
-        return self.rho[3, 1]
+    def x_plus(self) -> complex | np.ndarray:
+        return self._entry(1, 0)
+
+    @property
+    def x_minus(self) -> complex | np.ndarray:
+        return self._entry(3, 1)
 
 
-def collective_expectations(state: SymmetricState) -> CollectiveExpectations:
+def collective_expectations(state: SymmetricState | np.ndarray) -> CollectiveExpectations:
     """Collective moments <Sz>, <Sz^2>, <S+>, <S+^2>, <[S+, Sz]_+>.
 
-    Each is an O(N) sum along the ladder, read straight from the
-    amplitudes a_n with m_n = n - N/2 and c_n = <n+1|S+|n>:
+    state is one SymmetricState (the moments are numbers) or a (T, N+1)
+    stack of amplitude rows (the moments are (T,) arrays).  Each moment
+    is an O(N) sum along the ladder, read straight from the amplitudes
+    a_n with m_n = n - N/2 and c_n = <n+1|S+|n>:
 
         <Sz^k>         = sum |a_n|^2 m_n^k
         <S+>           = sum c_n a*_{n+1} a_n
         <[S+, Sz]_+>   = sum c_n a*_{n+1} a_n (2 m_n + 1)
         <S+^2>         = sum c_n c_{n+1} a*_{n+2} a_n
 
-    <Sx^2 + Sy^2> comes from j(j+1) - <Sz^2>, exact on the symmetric
-    subspace.
+    Every sum runs along its own row, so a row of a stack gives the
+    same moments as that state alone.  <Sx^2 + Sy^2> comes from
+    j(j+1) - <Sz^2>, exact on the symmetric subspace.
     """
-    n = state.n_qubits
-    a = state.amps
+    amps = np.asarray(state.amps if isinstance(state, SymmetricState) else state, dtype=complex)
+    if amps.ndim not in (1, 2):
+        raise DomainError(f"expected amplitudes or a stack of them, got shape {amps.shape}")
+    a = np.atleast_2d(amps)
+    n = a.shape[-1] - 1
     m, c = _ladder(n)
     j = n / 2
     prob = a.real**2 + a.imag**2
-    hop = c * a[1:].conj() * a[:-1]
-    sz2 = float(np.dot(m * m, prob))
-    return CollectiveExpectations(
-        n_qubits=n,
-        sz=float(np.dot(m, prob)),
-        sz2=sz2,
-        sx2_plus_sy2=j * (j + 1) - sz2,
-        splus=complex(hop.sum()),
-        splus2=complex(np.sum(c[1:] * c[:-1] * a[2:].conj() * a[:-2])),
-        splus_sz_anti=complex(np.dot(hop, 2 * m[:-1] + 1)),
-    )
+    hop = c * a[:, 1:].conj() * a[:, :-1]
+    sz2 = (prob * (m * m)).sum(axis=-1)
+    moments = {
+        "sz": (prob * m).sum(axis=-1),
+        "sz2": sz2,
+        "sx2_plus_sy2": j * (j + 1) - sz2,
+        "splus": hop.sum(axis=-1),
+        "splus2": (c[1:] * c[:-1] * a[:, 2:].conj() * a[:, :-2]).sum(axis=-1),
+        "splus_sz_anti": (hop * (2 * m[:-1] + 1)).sum(axis=-1),
+    }
+    if amps.ndim == 1:
+        moments = {name: value[0].item() for name, value in moments.items()}
+    return CollectiveExpectations(n_qubits=n, **moments)
 
 
 def reduce_symmetric(exp: CollectiveExpectations) -> TwoQubitDensity:
-    """Two-qubit reduced density matrix from collective moments."""
+    """Two-qubit reduced density matrix from collective moments.
+
+    Moments of a stack of states give a (T, 4, 4) stack of matrices.
+    """
     n = exp.n_qubits
     if n < 2:
         raise DomainError(f"need at least 2 qubits, got {n}")
@@ -160,7 +197,7 @@ def reduce_symmetric(exp: CollectiveExpectations) -> TwoQubitDensity:
         ],
         dtype=complex,
     )
-    return TwoQubitDensity.from_matrix(rho)
+    return TwoQubitDensity.from_matrix(np.moveaxis(rho, (0, 1), (-2, -1)))
 
 
 def epr_expectations(n_qubits: int) -> tuple[float, float]:
@@ -178,23 +215,24 @@ def epr_expectations(n_qubits: int) -> tuple[float, float]:
     return j1z_j2z, j1p_j2p
 
 
-def epr_reduce(n_qubits: int) -> TwoQubitDensity:
+def epr_reduce(n_qubits: int | Sequence[int]) -> TwoQubitDensity:
     """Reduced matrix of one qubit from each ensemble of the EPR state.
 
     Diagonal-plus-corner form: w = 1/4 - <J1z J2z>/N^2 on the inner
     diagonal, corner u = <J1+ J2+>/N^2, v = (1 - 2w)/2 at both ends,
-    x and y identically zero.
+    x and y identically zero.  A sequence of counts gives the stack of
+    their matrices, in order.
     """
-    if n_qubits < 1:
+    counts = np.atleast_1d(n_qubits)
+    if counts.ndim != 1 or counts.size == 0 or (counts < 1).any():
         raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
-    n2 = n_qubits * n_qubits
-    j1z_j2z, j1p_j2p = epr_expectations(n_qubits)
+    n2 = counts * counts
+    j1z_j2z, j1p_j2p = np.array([epr_expectations(int(n)) for n in counts]).T
     w = 0.25 - j1z_j2z / n2
     u = j1p_j2p / n2
     v = (1 - 2 * w) / 2
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho[3, 3] = v
-    rho[1, 1] = rho[2, 2] = w
-    rho[3, 0] = u
-    rho[0, 3] = np.conjugate(u)
-    return TwoQubitDensity.from_matrix(rho)
+    rho = np.zeros((counts.size, 4, 4), dtype=complex)
+    rho[:, 0, 0] = rho[:, 3, 3] = v
+    rho[:, 1, 1] = rho[:, 2, 2] = w
+    rho[:, 3, 0] = rho[:, 0, 3] = u
+    return TwoQubitDensity.from_matrix(rho[0] if np.ndim(n_qubits) == 0 else rho)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange
+from .errors import DomainError, IndexOutOfRange
 
 # theta this close to pi is treated as the exact bottom-pole basis
 # state; the phi dependence is pure global phase there.
@@ -141,6 +141,8 @@ def spin_coherent(n_qubits: int, eta: complex) -> SymmetricState:
     """
     if n_qubits < 1:
         raise IndexOutOfRange(f"n_qubits must be >= 1, got {n_qubits}")
+    if not cmath.isfinite(eta):
+        raise DomainError(f"eta must be finite, got {eta}")
     return _product_state(n_qubits, complex(eta), 1.0)
 
 
@@ -155,6 +157,8 @@ def coherent_from_angles(n_qubits: int, theta: float, phi: float) -> SymmetricSt
     """
     if n_qubits < 1:
         raise IndexOutOfRange(f"n_qubits must be >= 1, got {n_qubits}")
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise DomainError(f"theta and phi must be finite, got ({theta}, {phi})")
     if abs(theta - math.pi) <= POLE_SNAP_TOL:
         return number_state(n_qubits, 0)
     return _product_state(

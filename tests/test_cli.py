@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 import kickedtop.cli as cli
-from kickedtop import NumericalFailure, analytic_concurrence_series
+from kickedtop import NumericalFailure, analytic_concurrence_series, dicke_concurrence_closed
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +50,38 @@ def test_dicke_rejects_single_qubit(capsys):
     assert code == 2
     assert out == ""
     assert "N must be >= 2" in err
+
+
+def test_dicke_at_a_thousand_qubits_matches_the_closed_form(capsys):
+    code, out, err = run_cli(capsys, "dicke", "--N", "1000")
+    assert code == 0 and err == ""
+    _, rows = parse(out)
+    assert len(rows) == 1001
+    for n, m, _, numeric in rows:
+        assert abs(float(numeric) - dicke_concurrence_closed(int(n), float(m))) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qkt-series", "--j", "1.5", "--kappa0", "1", "--theta0", "nan", "--n-max", "3"),
+        ("qkt-series", "--j", "1.5", "--kappa0", "1", "--phi0", "inf", "--n-max", "3"),
+        ("qkt-sweep", "--j", "2", "--theta0=-inf", "--n-max", "3"),
+        ("coherent", "--N", "5", "--eta", "nan"),
+        ("coherent", "--N", "5", "--eta", "0.5,inf"),
+        ("analytic3", "--kappa0", "nan", "--n-max", "3"),
+        ("lyapunov", "--kappa0", "nan", "--steps", "1000"),
+        ("dicke", "--N", "2", "--M-min", "nan"),
+        ("dicke", "--N", "2", "--M-max", "nan"),
+    ],
+)
+def test_non_finite_inputs_exit_two(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
 
 
 def test_epr_values_at_full_precision(capsys):

@@ -9,6 +9,8 @@ from kickedtop import (
     spin_coherent,
     DomainError,
     NotPhysical,
+    NumericalFailure,
+    TwoQubitDensity,
     WrongStructure,
     binary_entropy,
     collective_expectations,
@@ -22,6 +24,7 @@ from kickedtop import (
     von_neumann_entropy,
     wootters,
 )
+from kickedtop.spin import SymmetricState
 from oracles import concurrence_power_iteration, power_iteration_eigvals, random_density
 
 BELL = np.zeros((4, 4), dtype=complex)
@@ -149,6 +152,51 @@ def test_wootters_lambdas_on_graded_rank_deficient_states_match_oracle():
                 want = np.sort(np.sqrt(np.maximum(vals, 0.0)))[::-1]
                 res = wootters(rho)
                 np.testing.assert_allclose(res.lambdas, want, rtol=0.0, atol=1e-9)
+
+
+def test_stacked_reduction_and_wootters_equal_one_state_at_a_time():
+    rng = np.random.default_rng(17)
+    for n_qubits in (3, 30, 200):
+        amps = rng.standard_normal((12, n_qubits + 1)) + 1j * rng.standard_normal((12, n_qubits + 1))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        amps[0] = 0.0
+        amps[0, -1] = 1.0  # a product state: the separable snap on one row
+        stack = reduce_symmetric(collective_expectations(amps))
+        res = wootters(stack)
+        assert stack.rho.shape == (12, 4, 4)
+        assert res.concurrence.shape == (12,) and res.lambdas.shape == (12, 4)
+        for t, row in enumerate(amps):
+            dm = reduce_symmetric(collective_expectations(SymmetricState(row)))
+            one = wootters(dm)
+            np.testing.assert_allclose(stack.rho[t], dm.rho, rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(res.lambdas[t], one.lambdas, rtol=0.0, atol=1e-14)
+            assert abs(res.c_lambda[t] - one.c_lambda) <= 1e-14
+            assert abs(res.concurrence[t] - one.concurrence) <= 1e-14
+        assert res.c_lambda[0] == 0.0
+
+
+def test_stack_errors_name_the_failing_row():
+    good = np.stack([werner(f) for f in np.linspace(0.0, 1.0, 8)])
+    skew = good.copy()
+    skew[5, 0, 1] += 1e-3
+    with pytest.raises(NumericalFailure, match=r"^row 5: hermitizing"):
+        TwoQubitDensity.from_matrix(skew)
+    heavy = good.copy()
+    heavy[3] *= 2.0
+    with pytest.raises(NotPhysical, match=r"^row 3: trace"):
+        wootters(heavy)
+    negative = good.copy()
+    negative[6] = np.diag([0.7, 0.5, -0.1, -0.1])
+    with pytest.raises(NotPhysical, match=r"^row 6: eigenvalue"):
+        TwoQubitDensity.from_matrix(negative)
+    rng = np.random.default_rng(3)
+    amps = rng.standard_normal((4, 31)) + 1j * rng.standard_normal((4, 31))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    amps[2, 7] = np.nan
+    with pytest.raises(NumericalFailure, match=r"^row 2: "):
+        reduce_symmetric(collective_expectations(amps))
+    with pytest.raises(DomainError):
+        concurrence_x_form(good)  # the shortcuts take one matrix
 
 
 def test_dicke_form_agrees_with_wootters_and_closed_form():

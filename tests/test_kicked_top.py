@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import kickedtop.kicked_top as kicked_top
 from kickedtop import (
     DimensionMismatch,
     DomainError,
@@ -15,6 +16,7 @@ from kickedtop import (
     coherent_from_angles,
     collective_operators,
     concurrence_series,
+    concurrence_sweep,
     evolve,
     floquet,
     number_state,
@@ -113,11 +115,45 @@ def test_series_is_six_pi_periodic_in_torsion():
         assert ca == pytest.approx(cb, abs=1e-12)
 
 
+def test_sweep_columns_equal_single_series_across_kick_blocks(monkeypatch):
+    q = SpinQuantum(5)
+    grid = [0.0, 1.7, 2.4, 6.0]
+    whole = concurrence_sweep(q, grid, 0.7, 0.3, 40)
+    # 3 kicks per block for 4 kappa0 values at 2j = 5
+    monkeypatch.setattr(kicked_top, "KICK_BLOCK_AMPLITUDES", 3 * 4 * 6)
+    blocked = concurrence_sweep(q, grid, 0.7, 0.3, 40)
+    for kappa0, a, b in zip(grid, whole, blocked):
+        assert a.params.kappa0 == kappa0
+        single = concurrence_series(KickedTopParams(q, kappa0), 0.7, 0.3, 40)
+        np.testing.assert_allclose(a.concurrence, single.concurrence, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(b.concurrence, a.concurrence, rtol=0.0, atol=1e-14)
+    assert all(c == 0.0 for c in whole[0].concurrence)
+
+
+def test_large_j_zero_torsion_keeps_coherent_states_separable():
+    # at kappa0 = 0 every kick is a rotation, so the state stays coherent
+    # and every pair is exactly separable; 1000 kicks at 2j = 1000 span
+    # many kick blocks
+    q = SpinQuantum(1000)
+    assert kicked_top.KICK_BLOCK_AMPLITUDES // q.dim < 1000
+    series = concurrence_series(KickedTopParams(q, 0.0), 0.7, 0.0, 1000)
+    assert series.concurrence.shape == (1000,)
+    assert np.all(series.concurrence == 0.0)
+
+
+def test_large_j_evolution_preserves_norm():
+    state = coherent_from_angles(1000, 0.7, 0.0)
+    state = evolve(state, floquet(KickedTopParams(SpinQuantum(1000), 1.0)), 1000)
+    assert abs(state.norm() - 1.0) <= 1e-11
+
+
 def test_series_validation():
     with pytest.raises(DomainError):
         concurrence_series(KickedTopParams(SpinQuantum(1), 1.0), 0.0, 0.0, 5)
     with pytest.raises(DomainError):
         concurrence_series(KickedTopParams(SpinQuantum(3), 1.0), 0.0, 0.0, 0)
+    with pytest.raises(DomainError):
+        concurrence_sweep(SpinQuantum(3), [], 0.0, 0.0, 5)
 
 
 def test_time_average():

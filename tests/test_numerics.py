@@ -29,6 +29,20 @@ def test_hermitian_eigen_matches_lapack_and_reconstructs():
         np.testing.assert_allclose(gram, np.eye(dim), atol=1e-12)
 
 
+def test_hermitian_eigen_on_a_stack_matches_matrix_by_matrix():
+    rng = np.random.default_rng(3)
+    stack = np.stack([random_hermitian(rng, 4) for _ in range(6)])
+    dec = hermitian_eigen(stack)
+    assert dec.values.shape == (6, 4) and dec.vectors.shape == (6, 4, 4)
+    for h, values, vectors in zip(stack, dec.values, dec.vectors):
+        one = hermitian_eigen(h)
+        np.testing.assert_array_equal(values, one.values)
+        np.testing.assert_array_equal(vectors, one.vectors)
+    stack[4, 0, 1] += 1e-3
+    with pytest.raises(NotHermitian):
+        hermitian_eigen(stack)
+
+
 def test_hermitian_eigen_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
