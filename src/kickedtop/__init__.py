@@ -28,7 +28,6 @@ from .errors import (
 from .numerics import (
     EigenDecomposition,
     hermitian_eigen,
-    unitary_from_hermitian,
 )
 from .spin import (
     CollectiveOps,
@@ -151,7 +150,6 @@ __all__ = [
     "spin_coherent",
     "time_average",
     "tangent_step",
-    "unitary_from_hermitian",
     "von_neumann_entropy",
     "wootters",
 ]

@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import BlockLeakage, DomainError
 from .kicked_top import KickedTopParams, floquet
-from .numerics import unitary_from_hermitian
 from .pairwise import TwoQubitDensity
-from .spin import SpinQuantum, collective_operators
+from .spin import SpinQuantum
 
 BLOCK_LEAKAGE_TOL = 1e-9
 
@@ -67,10 +66,15 @@ def parity_operator(q: SpinQuantum) -> np.ndarray:
     """Flip-all-qubits parity on the symmetric subspace.
 
     Equals the product of single-qubit sigma_y's restricted to the
-    symmetric sector: i^N times the rotation by pi about y.
+    symmetric sector: i^N times the rotation by pi about y.  That
+    rotation sends |n> to (-1)^(N-n) |N-n>, so the result is i^N times
+    the signed antidiagonal, exact and built without an eigensolver.
     """
-    ops = collective_operators(q)
-    return (1j**q.n_qubits) * unitary_from_hermitian(ops.jy, math.pi)
+    n_qubits = q.n_qubits
+    n = np.arange(n_qubits + 1)
+    parity = np.zeros((n_qubits + 1, n_qubits + 1), dtype=complex)
+    parity[n_qubits - n, n] = (1, 1j, -1, -1j)[n_qubits % 4] * (-1.0) ** (n_qubits - n)
+    return parity
 
 
 def build_parity_basis() -> ParityBasis:
@@ -98,8 +102,8 @@ def chebyshev_table(n_max: int, kappa0: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if not math.isfinite(kappa0):
-        raise DomainError(f"kappa0 must be finite, got {kappa0}")
+    if not (math.isfinite(kappa0) and kappa0 >= 0.0):
+        raise DomainError(f"kappa0 must be finite and >= 0, got {kappa0}")
     chi = math.sin(kappa0 / 3.0) / 2.0
     t = np.empty(n_max + 1)
     u = np.empty(n_max + 1)

@@ -167,8 +167,8 @@ def lyapunov_running(
     """
     if steps < 1000:
         raise DomainError(f"steps must be >= 1000, got {steps}")
-    if not (math.isfinite(kappa0) and math.isfinite(p)):
-        raise DomainError(f"kappa0 and p must be finite, got ({kappa0}, {p})")
+    if not (math.isfinite(kappa0) and kappa0 >= 0.0 and math.isfinite(p)):
+        raise DomainError(f"kappa0 must be finite and >= 0 and p finite, got ({kappa0}, {p})")
     if transient < 0 or transient >= steps:
         raise DomainError(f"need 0 <= transient < steps, got transient={transient}")
     x, y, z = _coerce_point(pt0)

@@ -5,12 +5,15 @@ Every command writes a header row plus data rows, floats formatted to
 are byte-identical.  Output goes to stdout, or atomically to --out
 (temp file in the target directory, then rename).
 
-Exit codes: 0 success, 2 argument error, 3 numerical failure.
+Exit codes: 0 success, 2 argument error, 3 numerical failure.  Spin
+sizes 2j and qubit counts N above MAX_QUBITS are argument errors,
+rejected before anything is allocated.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -21,12 +24,14 @@ import numpy as np
 from .analytic3 import analytic_concurrence_series
 from .classical import lyapunov_running
 from .concurrence import ConcurrenceResult, dicke_concurrence_closed, wootters
-from .errors import DomainError, NumericalError
+from .errors import DimensionTooLarge, DomainError, NumericalError
 from .kicked_top import KickedTopParams, concurrence_series, concurrence_sweep, time_average
 from .pairwise import collective_expectations, epr_reduce, reduce_symmetric
 from .spin import SpinQuantum, number_state, spin_coherent
 
 SWEEP_GRID_POINTS = 25
+# Largest 2j or N accepted: a dense rotation at 2j = 4096 is 268 MB.
+MAX_QUBITS = 4096
 LYAPUNOV_START = (math.sin(2.25), 0.0, math.cos(2.25))
 
 
@@ -72,10 +77,28 @@ def _float_list(text: str) -> list[float]:
         raise DomainError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
+def _check_size(n_qubits: int) -> None:
+    if n_qubits > MAX_QUBITS:
+        raise DimensionTooLarge(f"{n_qubits} qubits exceeds the cap of {MAX_QUBITS}")
+
+
+def _qubit_counts(text: str, minimum: int) -> list[int]:
+    """Sorted counts from a comma-separated list, each checked before any is used."""
+    counts = sorted(_int_list(text))
+    for n_qubits in counts:
+        if n_qubits < minimum:
+            raise DomainError(f"N must be >= {minimum}")
+        _check_size(n_qubits)
+    return counts
+
+
 def _spin_from_j(j: float) -> SpinQuantum:
+    if not math.isfinite(j):
+        raise DomainError(f"j must be finite, got {j}")
     two_j = round(2.0 * j)
     if abs(2.0 * j - two_j) > 1e-9 or two_j < 1:
         raise DomainError(f"j = {j} is not a positive half-integer")
+    _check_size(two_j)
     return SpinQuantum(two_j)
 
 
@@ -108,9 +131,7 @@ def cmd_dicke(args) -> None:
     lo = -math.inf if args.M_min is None else args.M_min - 1e-12
     hi = math.inf if args.M_max is None else args.M_max + 1e-12
     rows = []
-    for n_qubits in sorted(_int_list(args.N)):
-        if n_qubits < 2:
-            raise DomainError("N must be >= 2")
+    for n_qubits in _qubit_counts(args.N, 2):
         levels = [n for n in range(n_qubits + 1) if lo <= n - n_qubits / 2 <= hi]
         if not levels:
             continue
@@ -122,9 +143,7 @@ def cmd_dicke(args) -> None:
 
 
 def cmd_epr(args) -> None:
-    counts = sorted(_int_list(args.N))
-    if any(n_qubits < 1 for n_qubits in counts):
-        raise DomainError("N must be >= 1")
+    counts = _qubit_counts(args.N, 1)
     rows = []
     if counts:
         rows = list(zip(counts, wootters(epr_reduce(counts)).concurrence))
@@ -135,6 +154,7 @@ def cmd_coherent(args) -> None:
     n_qubits = args.N
     if n_qubits < 2:
         raise DomainError("N must be >= 2")
+    _check_size(n_qubits)
     etas = sorted(_float_list(args.eta))
     rows = []
     if etas:
@@ -253,9 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on first use and then shared by every main() call in the process.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         args.func(args)
     except DomainError as exc:

@@ -7,7 +7,9 @@ about z whose strength kappa0 is scaled by 1/(2j):
 
 The torsion factor is diagonal in the Jz eigenbasis, so it is applied
 as explicit phases exp(-i kappa0 m^2 / (2j)) rather than through a
-matrix exponential.
+matrix exponential.  The rotation is the real orthogonal Wigner
+d-matrix: `_rotation` builds it from one real symmetric eigensolve of
+the tridiagonal Jx, with no complex eigensolver.
 
 `concurrence_sweep` is the one engine behind every concurrence series.
 For one (2j, p) it builds the rotation exp(-i p Jy) once and pushes the
@@ -30,15 +32,19 @@ import numpy as np
 
 from .concurrence import wootters
 from .errors import DimensionMismatch, DomainError, EmptyWindow
-from .numerics import unitary_from_hermitian
+from .numerics import hermitian_eigen
 from .pairwise import collective_expectations, reduce_symmetric
-from .spin import SpinQuantum, SymmetricState, _ladder, coherent_from_angles, collective_operators
+from .spin import SpinQuantum, SymmetricState, _ladder, coherent_from_angles
 
 DEFAULT_PRECESSION = math.pi / 2.0
 
 # Amplitudes (kicks x kappa0 values x (2j+1)) held per block of the kick
 # axis; a block of 2^14 complex amplitudes is 256 KiB.
 KICK_BLOCK_AMPLITUDES = 1 << 14
+
+# Sign of rotation entry [a, b] by k = (a - b) mod 4: (-i)^k times C for
+# even k, (-i)^k times -iS for odd k.
+_QUARTER_TURN_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -79,8 +85,24 @@ class ConcurrenceSeries:
 
 
 def _rotation(q: SpinQuantum, p: float) -> np.ndarray:
-    """exp(-i p Jy) on the (2j+1)-dimensional symmetric subspace."""
-    return unitary_from_hermitian(collective_operators(q).jy, p)
+    """exp(-i p Jy) on the (2j+1)-dimensional symmetric subspace, as a real matrix.
+
+    Jy = D Jx D^dagger with D = diag((-i)^n), and Jx is real symmetric
+    tridiagonal, so with Jx = V W V^T the rotation is
+    R[a, b] = (-i)^(a-b) (C - iS)[a, b], C = V cos(pW) V^T, S = V sin(pW) V^T.
+    C only couples n to n +- even and S to n +- odd, so every entry is
+    real: +-C[a, b] for even a - b and +-S[a, b] for odd a - b.
+    """
+    _, c = _ladder(q.n_qubits)
+    lower = np.diag(c / 2.0, k=-1)
+    jx = lower + lower.T
+    dec = hermitian_eigen(jx)
+    v, angles = dec.vectors, p * dec.values
+    cos_part = (v * np.cos(angles)) @ v.T
+    sin_part = (v * np.sin(angles)) @ v.T
+    n = np.arange(q.dim)
+    offset = (n[:, None] - n[None, :]) % 4
+    return _QUARTER_TURN_SIGN[offset] * np.where(offset % 2 == 0, cos_part, sin_part)
 
 
 def _torsion(q: SpinQuantum, kappa0s) -> np.ndarray:
@@ -135,7 +157,9 @@ def concurrence_sweep(
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     start = coherent_from_angles(q.n_qubits, theta0, phi0).amps
-    rotation = _rotation(q, p)
+    # complex once here, so each kick is one complex GEMM and not a
+    # real-by-complex product that casts the rotation on every call
+    rotation = _rotation(q, p).astype(complex)
     torsion = _torsion(q, kappa0s)
     dim, k = torsion.shape
     psi = np.repeat(start[:, None], k, axis=1)

@@ -1,8 +1,8 @@
-"""Dense complex linear algebra used everywhere else.
+"""Hermitian eigendecomposition, the one eigensolver of the package.
 
-A Hermitian eigendecomposition (delegated to LAPACK via numpy, wrapped
-so that bad input and failed iterations surface as package errors) and
-the unitary exp(-i * angle * H) built from it.
+Delegated to LAPACK via numpy and wrapped so that bad input and failed
+iterations surface as package errors.  A real symmetric input is
+decomposed in real arithmetic and gives real eigenvectors.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionTooLarge,
+    DimensionMismatch,
     NoConvergence,
     NotHermitian,
 )
@@ -34,10 +34,11 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def _as_complex_matrices(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+def _as_square_matrices(m) -> np.ndarray:
+    a = np.asarray(m)
+    a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0:
-        raise DimensionTooLarge(f"expected square matrices, got shape {a.shape}")
+        raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
     return a
 
 
@@ -45,11 +46,12 @@ def hermitian_eigen(h, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, values ascending.
 
     h is one matrix or a stack of them along leading axes, decomposed
-    matrix by matrix.  Raises NotHermitian when max|H - H^dagger|
-    exceeds tol anywhere in the stack, and NoConvergence if the
-    underlying iteration gives up.
+    matrix by matrix.  Complex input gives complex eigenvectors; real
+    input is taken as real symmetric and gives real ones.  Raises
+    NotHermitian when max|H - H^dagger| exceeds tol anywhere in the
+    stack, and NoConvergence if the underlying iteration gives up.
     """
-    a = _as_complex_matrices(h)
+    a = _as_square_matrices(h)
     dev = np.abs(a - a.conj().swapaxes(-1, -2)).max()
     if dev > tol:
         raise NotHermitian(f"max |H - H^dagger| = {dev:.3e} exceeds {tol:.1e}")
@@ -58,10 +60,3 @@ def hermitian_eigen(h, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return EigenDecomposition(values=values, vectors=vectors)
-
-
-def unitary_from_hermitian(h, angle: float) -> np.ndarray:
-    """exp(-i * angle * H) for Hermitian H, via eigendecomposition."""
-    dec = hermitian_eigen(h)
-    phases = np.exp(-1j * angle * dec.values)
-    return (dec.vectors * phases[..., None, :]) @ dec.vectors.conj().swapaxes(-1, -2)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -73,6 +74,8 @@ def test_dicke_at_a_thousand_qubits_matches_the_closed_form(capsys):
         ("lyapunov", "--kappa0", "nan", "--steps", "1000"),
         ("dicke", "--N", "2", "--M-min", "nan"),
         ("dicke", "--N", "2", "--M-max", "nan"),
+        ("qkt-series", "--j", "nan", "--kappa0", "1", "--n-max", "3"),
+        ("qkt-sweep", "--j", "inf", "--n-max", "3"),
     ],
 )
 def test_non_finite_inputs_exit_two(capsys, argv):
@@ -82,6 +85,53 @@ def test_non_finite_inputs_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qkt-series", "--j", "2048.5", "--kappa0", "1", "--n-max", "3"),
+        ("qkt-sweep", "--j", "1e6", "--n-max", "3"),
+        ("dicke", "--N", "4,4097"),
+        ("epr", "--N", "1,100000000"),
+        ("coherent", "--N", "4097", "--eta", "1"),
+    ],
+)
+def test_sizes_above_the_cap_exit_two_before_allocating(capsys, argv):
+    assert cli.MAX_QUBITS == 4096
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds the cap of 4096" in err
+    assert peak < 4 << 20
+
+
+def test_sizes_at_the_cap_are_accepted(capsys):
+    code, out, err = run_cli(capsys, "epr", "--N", "4096")
+    assert code == 0 and err == ""
+    assert out == "N,C\n4096,{:.12g}\n".format(1.0 / 4096)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lyapunov", "--kappa0", "-1", "--steps", "1000"),
+        ("lyapunov", "--kappa0", "1,-0.5", "--steps", "1000"),
+        ("analytic3", "--kappa0", "-1", "--n-max", "2"),
+        ("analytic3", "--kappa", "-0.1", "--n-max", "2"),
+        ("qkt-series", "--j", "1.5", "--kappa0", "-1", "--n-max", "2"),
+    ],
+)
+def test_negative_kappa0_exits_two_everywhere(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and ">= 0" in err
 
 
 def test_epr_values_at_full_precision(capsys):
@@ -291,3 +341,21 @@ def test_console_entry_point_end_to_end():
     proc = run_child("epr", "--N", "2")
     assert proc.returncode == 0
     assert proc.stdout == "N,C\n2,0.5\n"
+
+
+def test_subcommands_in_one_process_match_separate_runs(capsys):
+    invocations = [
+        ("analytic3", "--kappa0", "1.9", "--n-max", "20"),
+        ("qkt-sweep", "--j", "2", "--kappa0", "0.5,3", "--n-max", "6"),
+        ("dicke", "--N", "4", "--M-min", "0"),
+        ("analytic3", "--kappa0", "1.9", "--n-max", "20"),
+    ]
+    in_process = []
+    for argv in invocations:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        in_process.append(out)
+    for argv, out in zip(invocations, in_process):
+        proc = run_child(*argv)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == out

@@ -76,12 +76,64 @@ def test_evolve_validation():
         evolve(state, np.zeros((3, 4)), 1)
 
 
+def complex_route_rotation(q, p):
+    # exp(-i p Jy) from a complex eigendecomposition of the dense Jy
+    w, v = np.linalg.eigh(collective_operators(q).jy)
+    return (v * np.exp(-1j * p * w)) @ v.conj().T
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 30, 200])
+def test_rotation_is_real_and_matches_the_complex_route(two_j):
+    q = SpinQuantum(two_j)
+    for p in (math.pi / 2.0, 0.37, 2.9):
+        r = kicked_top._rotation(q, p)
+        assert r.dtype == np.float64 and r.shape == (q.dim, q.dim)
+        assert np.abs(r - complex_route_rotation(q, p)).max() <= 1e-13
+
+
+def test_rotation_at_spin_half_is_the_closed_form_block():
+    # exp(-i p sigma_y / 2) = [[c, -s], [s, c]] in the order (m = +1/2, -1/2),
+    # the reverse of the ascending basis index
+    p = 0.737
+    c, s = math.cos(p / 2.0), math.sin(p / 2.0)
+    r = kicked_top._rotation(SpinQuantum(1), p)
+    np.testing.assert_allclose(r[::-1, ::-1], [[c, -s], [s, c]], rtol=0.0, atol=1e-15)
+
+
+def test_rotation_composes_additively():
+    q = SpinQuantum(7)
+    ra, rb = kicked_top._rotation(q, 0.3), kicked_top._rotation(q, 1.1)
+    np.testing.assert_allclose(ra @ rb, kicked_top._rotation(q, 1.4), rtol=0.0, atol=1e-13)
+
+
+def test_rotation_stays_orthogonal_at_large_j():
+    r = kicked_top._rotation(SpinQuantum(2000), math.pi / 2.0)
+    assert np.abs(r.T @ r - np.eye(2001)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 4, 5, 30])
+def test_parity_is_the_exact_signed_antidiagonal(two_j):
+    q = SpinQuantum(two_j)
+    pi_op = parity_operator(q)
+    expected = np.zeros((q.dim, q.dim), dtype=complex)
+    for n in range(q.dim):
+        expected[two_j - n, n] = 1j**two_j * (-1) ** (two_j - n)
+    assert np.array_equal(pi_op, expected)
+    assert np.array_equal(pi_op @ pi_op, np.eye(q.dim))
+    # i^N times the rotation by pi about y
+    np.testing.assert_allclose(
+        pi_op, 1j**two_j * complex_route_rotation(q, math.pi), rtol=0.0, atol=1e-13
+    )
+
+
 def test_parity_commutes_with_floquet():
-    pi_op = parity_operator(SpinQuantum(3))
-    for kappa0 in (0.0, 0.7, 1.2, 3.9, 6.5):
-        u = floquet(KickedTopParams(SpinQuantum(3), kappa0))
-        comm = u @ pi_op - pi_op @ u
-        assert np.abs(comm).max() <= 1e-10
+    for two_j in (2, 3, 4, 5, 30):
+        q = SpinQuantum(two_j)
+        pi_op = parity_operator(q)
+        for kappa0 in (0.0, 0.7, 1.2, 3.9, 6.5):
+            u = floquet(KickedTopParams(q, kappa0))
+            comm = u @ pi_op - pi_op @ u
+            assert np.abs(comm).max() <= 1e-10
 
 
 def test_series_zero_torsion_stays_separable():

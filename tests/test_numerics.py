@@ -1,13 +1,12 @@
-"""Hermitian eigendecomposition and the unitaries built from it."""
+"""Hermitian eigendecomposition."""
 
 import numpy as np
 import pytest
 
 from kickedtop import (
-    DimensionTooLarge,
+    DimensionMismatch,
     NotHermitian,
     hermitian_eigen,
-    unitary_from_hermitian,
 )
 
 
@@ -52,24 +51,17 @@ def test_hermitian_eigen_rejects_non_hermitian():
 
 
 def test_hermitian_eigen_rejects_non_square():
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(DimensionMismatch):
         hermitian_eigen(np.zeros((2, 3)))
 
 
-def test_unitary_from_hermitian_closed_form_rotation():
-    # exp(-i theta sigma_y / 2) is the standard 2x2 rotation block
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    theta = 0.737
-    u = unitary_from_hermitian(sy / 2, theta)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    np.testing.assert_allclose(u, [[c, -s], [s, c]], atol=1e-14)
-
-
-def test_unitary_from_hermitian_group_properties():
-    rng = np.random.default_rng(11)
-    h = random_hermitian(rng, 5)
-    ua = unitary_from_hermitian(h, 0.3)
-    ub = unitary_from_hermitian(h, 1.1)
-    uab = unitary_from_hermitian(h, 1.4)
-    np.testing.assert_allclose(ua @ ub, uab, atol=1e-13)
-    np.testing.assert_allclose(ua @ ua.conj().T, np.eye(5), atol=1e-13)
+def test_hermitian_eigen_keeps_a_real_input_real():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((6, 6))
+    h = (a + a.T) / 2
+    dec = hermitian_eigen(h)
+    assert dec.values.dtype == np.float64 and dec.vectors.dtype == np.float64
+    np.testing.assert_allclose((dec.vectors * dec.values) @ dec.vectors.T, h, atol=1e-12)
+    np.testing.assert_allclose(dec.values, hermitian_eigen(h.astype(complex)).values, atol=1e-12)
+    with pytest.raises(NotHermitian):
+        hermitian_eigen(h + np.triu(np.full((6, 6), 1e-3), k=1))
