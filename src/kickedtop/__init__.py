@@ -8,23 +8,7 @@ matrix.  A classical-limit map with Lyapunov estimation and a CSV CLI
 round out the figure-generating surface.
 """
 
-from .errors import (
-    BlockLeakage,
-    DimensionMismatch,
-    DimensionTooLarge,
-    DomainError,
-    EmptyWindow,
-    IndexOutOfRange,
-    KickedTopError,
-    NoConvergence,
-    NotHermitian,
-    NotPhysical,
-    NotTangent,
-    NumericalError,
-    NumericalFailure,
-    OffSphere,
-    WrongStructure,
-)
+from .errors import DomainError, KickedTopError, NumericalError
 from .numerics import (
     EigenDecomposition,
     hermitian_eigen,
@@ -89,34 +73,22 @@ from .classical import (
 )
 
 __all__ = [
-    "BlockLeakage",
     "ChebyshevStep",
     "CollectiveExpectations",
     "CollectiveOps",
     "ConcurrenceResult",
     "ConcurrenceSeries",
-    "DimensionMismatch",
-    "DimensionTooLarge",
     "DomainError",
     "EigenDecomposition",
-    "EmptyWindow",
-    "IndexOutOfRange",
     "KickedTopError",
     "KickedTopParams",
     "LyapunovEstimate",
-    "NoConvergence",
-    "NotHermitian",
-    "NotPhysical",
-    "NotTangent",
     "NumericalError",
-    "NumericalFailure",
-    "OffSphere",
     "ParityBasis",
     "SpherePoint",
     "SpinQuantum",
     "SymmetricState",
     "TwoQubitDensity",
-    "WrongStructure",
     "analytic_concurrence",
     "analytic_concurrence_series",
     "binary_entropy",

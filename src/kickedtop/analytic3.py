@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlockLeakage, DomainError
+from .errors import DomainError, NumericalError
 from .kicked_top import KickedTopParams, floquet
 from .pairwise import TwoQubitDensity
 from .spin import SpinQuantum
@@ -211,7 +211,7 @@ def blocks_u_pm(kappa0: float) -> tuple[np.ndarray, np.ndarray]:
 
     Constructed by conjugation into the parity basis, which is the
     authoritative route; closed forms are checked against it, never
-    substituted for it.  Raises BlockLeakage if the off-block coupling
+    substituted for it.  Raises NumericalError if the off-block coupling
     exceeds 1e-9 (it must vanish by parity symmetry).
     """
     u = floquet(KickedTopParams(SpinQuantum(3), kappa0))
@@ -222,5 +222,5 @@ def blocks_u_pm(kappa0: float) -> tuple[np.ndarray, np.ndarray]:
     w = v.conj().T @ u @ v
     leakage = max(float(np.abs(w[:2, 2:]).max()), float(np.abs(w[2:, :2]).max()))
     if leakage > BLOCK_LEAKAGE_TOL:
-        raise BlockLeakage(f"off-block coupling {leakage:.3e} exceeds {BLOCK_LEAKAGE_TOL:.1e}")
+        raise NumericalError(f"off-block coupling {leakage:.3e} exceeds {BLOCK_LEAKAGE_TOL:.1e}")
     return np.ascontiguousarray(w[:2, :2]), np.ascontiguousarray(w[2:, 2:])

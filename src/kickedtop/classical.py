@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NotTangent, OffSphere
+from .errors import DomainError, NumericalError
 
 SPHERE_TOL = 1e-9
 TANGENT_TOL = 1e-9
@@ -58,7 +58,7 @@ def _coerce_point(pt) -> Vec3:
 
 def _check_on_sphere(x: float, y: float, z: float) -> None:
     if abs(x * x + y * y + z * z - 1.0) > SPHERE_TOL:
-        raise OffSphere(f"|pt|^2 = {x * x + y * y + z * z} is not 1")
+        raise DomainError(f"|pt|^2 = {x * x + y * y + z * z} is not 1")
 
 
 def classical_map(pt, kappa0: float, p: float) -> SpherePoint:
@@ -90,7 +90,7 @@ def tangent_step(pt, v, kappa0: float, p: float) -> Vec3:
     vx, vy, vz = (float(c) for c in v)
     vnorm = math.sqrt(vx * vx + vy * vy + vz * vz)
     if abs(vx * x + vy * y + vz * z) > TANGENT_TOL * max(1.0, vnorm):
-        raise NotTangent(f"v . pt = {vx * x + vy * y + vz * z:.3e} is not 0")
+        raise DomainError(f"v . pt = {vx * x + vy * y + vz * z:.3e} is not 0")
 
     cp, sp = math.cos(p), math.sin(p)
     xr = x * cp + z * sp
@@ -164,6 +164,8 @@ def lyapunov_running(
 
     The map and Jacobian are inlined in the loop body; a unit test
     holds the inlined arithmetic equal to classical_map/tangent_step.
+    Raises NumericalError when the tangent norm leaves the float range,
+    which happens for kappa0 beyond about 1e154.
     """
     if steps < 1000:
         raise DomainError(f"steps must be >= 1000, got {steps}")
@@ -180,26 +182,33 @@ def lyapunov_running(
     acc = 0.0
     count = 0
     cos, sin, sqrt, log = math.cos, math.sin, math.sqrt, math.log
-    for k in range(transient + steps):
-        xr = x * cp + z * sp
-        zr = z * cp - x * sp
-        dxr = vx * cp + vz * sp
-        dzr = vz * cp - vx * sp
-        theta = kappa0 * zr
-        ct, st = cos(theta), sin(theta)
-        xt = xr * ct - y * st
-        yt = xr * st + y * ct
-        wx = dxr * ct - vy * st + kappa0 * dzr * (-xr * st - y * ct)
-        wy = dxr * st + vy * ct + kappa0 * dzr * (xr * ct - y * st)
-        wz = dzr
-        norm = sqrt(xt * xt + yt * yt + zr * zr)
-        x, y, z = xt / norm, yt / norm, zr / norm
-        dot = wx * x + wy * y + wz * z
-        wx, wy, wz = wx - dot * x, wy - dot * y, wz - dot * z
-        wnorm = sqrt(wx * wx + wy * wy + wz * wz)
-        vx, vy, vz = wx / wnorm, wy / wnorm, wz / wnorm
-        if k >= transient:
-            acc += log(wnorm)
-            count += 1
-            out.append(acc / count)
+    # A tangent norm that overflows makes the next tangent 0 (a division
+    # by zero) or NaN (a non-finite sum); both are caught after the loop.
+    try:
+        for k in range(transient + steps):
+            xr = x * cp + z * sp
+            zr = z * cp - x * sp
+            dxr = vx * cp + vz * sp
+            dzr = vz * cp - vx * sp
+            theta = kappa0 * zr
+            ct, st = cos(theta), sin(theta)
+            xt = xr * ct - y * st
+            yt = xr * st + y * ct
+            wx = dxr * ct - vy * st + kappa0 * dzr * (-xr * st - y * ct)
+            wy = dxr * st + vy * ct + kappa0 * dzr * (xr * ct - y * st)
+            wz = dzr
+            norm = sqrt(xt * xt + yt * yt + zr * zr)
+            x, y, z = xt / norm, yt / norm, zr / norm
+            dot = wx * x + wy * y + wz * z
+            wx, wy, wz = wx - dot * x, wy - dot * y, wz - dot * z
+            wnorm = sqrt(wx * wx + wy * wy + wz * wz)
+            vx, vy, vz = wx / wnorm, wy / wnorm, wz / wnorm
+            if k >= transient:
+                acc += log(wnorm)
+                count += 1
+                out.append(acc / count)
+    except ZeroDivisionError:
+        acc = math.nan
+    if not math.isfinite(acc):
+        raise NumericalError(f"tangent norm left the float range at kappa0 = {kappa0}")
     return out

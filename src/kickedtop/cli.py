@@ -14,20 +14,28 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from .analytic3 import analytic_concurrence_series
 from .classical import lyapunov_running
-from .concurrence import ConcurrenceResult, dicke_concurrence_closed, wootters
-from .errors import DimensionTooLarge, DomainError, NumericalError
-from .kicked_top import KickedTopParams, concurrence_series, concurrence_sweep, time_average
+from .concurrence import dicke_concurrence_closed, wootters
+from .errors import DomainError, NumericalError
+from .kicked_top import (
+    KICK_BLOCK_AMPLITUDES,
+    KickedTopParams,
+    concurrence_series,
+    concurrence_sweep,
+    time_average,
+)
 from .pairwise import collective_expectations, epr_reduce, reduce_symmetric
-from .spin import SpinQuantum, number_state, spin_coherent
+from .spin import SpinQuantum, SymmetricState, number_state, spin_coherent
 
 SWEEP_GRID_POINTS = 25
 # Largest 2j or N accepted: a dense rotation at 2j = 4096 is 268 MB.
@@ -79,7 +87,7 @@ def _float_list(text: str) -> list[float]:
 
 def _check_size(n_qubits: int) -> None:
     if n_qubits > MAX_QUBITS:
-        raise DimensionTooLarge(f"{n_qubits} qubits exceeds the cap of {MAX_QUBITS}")
+        raise DomainError(f"{n_qubits} qubits exceeds the cap of {MAX_QUBITS}")
 
 
 def _qubit_counts(text: str, minimum: int) -> list[int]:
@@ -118,10 +126,20 @@ def _resolve_kappa0_single(kappa0: str | None, kappa: str | None) -> float:
     return values[0]
 
 
-def _pair_wootters(states: list) -> ConcurrenceResult:
-    """Wootters' formula on the pair reductions of states, as one stack."""
-    stack = np.stack([state.amps for state in states])
-    return wootters(reduce_symmetric(collective_expectations(stack)))
+def _pair_wootters(
+    states: Iterable[SymmetricState], n_qubits: int
+) -> Iterator[tuple[float, float]]:
+    """(concurrence, c_lambda) of the pair reduction of each N-qubit state, in order.
+
+    The states are drawn lazily and go through Wootters' formula in
+    stacks of at most KICK_BLOCK_AMPLITUDES amplitudes, so memory does
+    not grow with the number of states.
+    """
+    per_block = max(1, KICK_BLOCK_AMPLITUDES // (n_qubits + 1))
+    states = iter(states)
+    while block := [state.amps for state in itertools.islice(states, per_block)]:
+        result = wootters(reduce_symmetric(collective_expectations(np.stack(block))))
+        yield from zip(result.concurrence, result.c_lambda)
 
 
 def cmd_dicke(args) -> None:
@@ -133,10 +151,8 @@ def cmd_dicke(args) -> None:
     rows = []
     for n_qubits in _qubit_counts(args.N, 2):
         levels = [n for n in range(n_qubits + 1) if lo <= n - n_qubits / 2 <= hi]
-        if not levels:
-            continue
-        numeric = _pair_wootters([number_state(n_qubits, n) for n in levels]).concurrence
-        for n, c in zip(levels, numeric):
+        numeric = _pair_wootters((number_state(n_qubits, n) for n in levels), n_qubits)
+        for n, (c, _) in zip(levels, numeric):
             m = n - n_qubits / 2
             rows.append((n_qubits, m, dicke_concurrence_closed(n_qubits, m), c))
     _emit(["N", "M", "C_closed", "C_numeric"], rows, args.out)
@@ -156,10 +172,8 @@ def cmd_coherent(args) -> None:
         raise DomainError("N must be >= 2")
     _check_size(n_qubits)
     etas = sorted(_float_list(args.eta))
-    rows = []
-    if etas:
-        c_lambda = _pair_wootters([spin_coherent(n_qubits, eta) for eta in etas]).c_lambda
-        rows = list(zip(etas, c_lambda))
+    results = _pair_wootters((spin_coherent(n_qubits, eta) for eta in etas), n_qubits)
+    rows = [(eta, c_lambda) for eta, (_, c_lambda) in zip(etas, results)]
     _emit(["eta", "c_lambda"], rows, args.out)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, NotPhysical, WrongStructure
+from .errors import DomainError, NumericalError
 from .numerics import hermitian_eigen
 from .pairwise import TwoQubitDensity
 
@@ -105,7 +105,7 @@ def wootters(rho) -> ConcurrenceResult:
     try:
         lam = np.linalg.svd(x.swapaxes(-1, -2) @ SPIN_FLIP @ x, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+        raise NumericalError(str(exc)) from exc
 
     trace = np.trace(dm.rho.reshape(-1, 4, 4), axis1=-2, axis2=-1).real
     lam[lam[:, 0] <= 8.0 * math.sqrt(_EPS) * trace] = 0.0
@@ -134,9 +134,7 @@ def concurrence_dicke_form(rho) -> float:
         abs(dm.y.imag),
     )
     if off > STRUCTURE_TOL:
-        raise WrongStructure(
-            f"matrix is not in Dicke form: off-pattern magnitude {off:.3e}"
-        )
+        raise DomainError(f"matrix is not in Dicke form: off-pattern magnitude {off:.3e}")
     prod = max(dm.v_plus, 0.0) * max(dm.v_minus, 0.0)
     return 2.0 * max(0.0, dm.y.real - math.sqrt(prod))
 
@@ -160,9 +158,7 @@ def concurrence_x_form(rho) -> float:
         abs(r[1, 1] - r[2, 2]),
     )
     if off > STRUCTURE_TOL:
-        raise WrongStructure(
-            f"matrix is not a symmetric X shape: off-pattern magnitude {off:.3e}"
-        )
+        raise DomainError(f"matrix is not a symmetric X shape: off-pattern magnitude {off:.3e}")
     prod = max(dm.v_plus, 0.0) * max(dm.v_minus, 0.0)
     return 2.0 * max(0.0, abs(dm.u) - dm.w, abs(dm.y) - math.sqrt(prod))
 
@@ -222,16 +218,16 @@ def von_neumann_entropy(rho) -> float:
     """Entropy -sum t log2 t of a density matrix, in bits.
 
     Eigenvalues are clamped at zero below; anything under -1e-9 means
-    the input was not a state and raises NotPhysical.
+    the input was not a state and raises NumericalError.
     """
     a = np.asarray(rho, dtype=complex)
     eig = hermitian_eigen(a)
     t = eig.values
     if t.min() < -1e-9:
-        raise NotPhysical(f"eigenvalue {t.min():.3e} is negative")
+        raise NumericalError(f"eigenvalue {t.min():.3e} is negative")
     tr = float(t.sum())
     if abs(tr - 1.0) > 1e-9:
-        raise NotPhysical(f"trace {tr} differs from 1")
+        raise NumericalError(f"trace {tr} differs from 1")
     t = np.clip(t, 0.0, None)
     nz = t[t > 0.0]
     return float(-(nz * np.log2(nz)).sum())

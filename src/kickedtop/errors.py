@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-Two branches: DomainError for bad inputs (CLI exit code 2) and
-NumericalError for computations that went wrong (CLI exit code 3).
+Every bad input raises DomainError (CLI exit code 2) and every numerical
+failure raises NumericalError (CLI exit code 3).  The message names the
+check that failed.
 """
 
 
@@ -13,53 +14,5 @@ class DomainError(KickedTopError):
     """Input outside the documented domain of an operation."""
 
 
-class IndexOutOfRange(DomainError):
-    pass
-
-
-class DimensionMismatch(DomainError):
-    pass
-
-
-class DimensionTooLarge(DomainError):
-    pass
-
-
-class WrongStructure(DomainError):
-    """Matrix does not have the structure a shortcut formula requires."""
-
-
-class EmptyWindow(DomainError):
-    """Averaging window contains no entries."""
-
-
-class OffSphere(DomainError):
-    pass
-
-
-class NotTangent(DomainError):
-    pass
-
-
 class NumericalError(KickedTopError):
     """A numerical computation failed or produced unusable output."""
-
-
-class NotHermitian(NumericalError):
-    pass
-
-
-class NoConvergence(NumericalError):
-    pass
-
-
-class NumericalFailure(NumericalError):
-    """Result violates a bound that only roundoff should perturb."""
-
-
-class NotPhysical(NumericalError):
-    """Density matrix fails positivity/trace checks beyond tolerance."""
-
-
-class BlockLeakage(NumericalError):
-    """Parity block decomposition has off-block coupling above tolerance."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import wootters
-from .errors import DimensionMismatch, DomainError, EmptyWindow
+from .errors import DomainError
 from .numerics import hermitian_eigen
 from .pairwise import collective_expectations, reduce_symmetric
 from .spin import SpinQuantum, SymmetricState, _ladder, coherent_from_angles
@@ -39,7 +39,8 @@ from .spin import SpinQuantum, SymmetricState, _ladder, coherent_from_angles
 DEFAULT_PRECESSION = math.pi / 2.0
 
 # Amplitudes (kicks x kappa0 values x (2j+1)) held per block of the kick
-# axis; a block of 2^14 complex amplitudes is 256 KiB.
+# axis, and per block of states in the CLI; 2^14 complex amplitudes are
+# 256 KiB.
 KICK_BLOCK_AMPLITUDES = 1 << 14
 
 # Sign of rotation entry [a, b] by k = (a - b) mod 4: (-i)^k times C for
@@ -122,12 +123,10 @@ def evolve(state: SymmetricState, u: np.ndarray, n: int) -> SymmetricState:
         raise DomainError(f"kick count must be >= 0, got {n}")
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatch(f"operator shape {u.shape} is not square")
+        raise DomainError(f"operator shape {u.shape} is not square")
     amps = np.asarray(state.amps, dtype=complex)
     if u.shape[0] != amps.shape[0]:
-        raise DimensionMismatch(
-            f"operator dim {u.shape[0]} does not match state dim {amps.shape[0]}"
-        )
+        raise DomainError(f"operator dim {u.shape[0]} does not match state dim {amps.shape[0]}")
     for _ in range(n):
         amps = u @ amps
     return SymmetricState(amps)
@@ -191,7 +190,5 @@ def time_average(series: ConcurrenceSeries, burn_in: int) -> float:
     """Mean concurrence over entries with kick index n > burn_in."""
     tail = series.concurrence[max(burn_in, 0) :]
     if tail.size == 0:
-        raise EmptyWindow(
-            f"burn_in {burn_in} leaves no entries out of {series.concurrence.size}"
-        )
+        raise DomainError(f"burn_in {burn_in} leaves no entries out of {series.concurrence.size}")
     return float(np.mean(tail))

@@ -11,14 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NoConvergence,
-    NotHermitian,
-)
+from .errors import DomainError, NumericalError
 
-# Default Hermiticity bound for hermitian_eigen; call sites may override
-# it per invocation.
+# Largest max|H - H^dagger| that hermitian_eigen accepts.
 HERMITICITY_TOL = 1e-10
 
 
@@ -38,25 +33,25 @@ def _as_square_matrices(m) -> np.ndarray:
     a = np.asarray(m)
     a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0:
-        raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
+        raise DomainError(f"expected square matrices, got shape {a.shape}")
     return a
 
 
-def hermitian_eigen(h, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
+def hermitian_eigen(h) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, values ascending.
 
     h is one matrix or a stack of them along leading axes, decomposed
     matrix by matrix.  Complex input gives complex eigenvectors; real
     input is taken as real symmetric and gives real ones.  Raises
-    NotHermitian when max|H - H^dagger| exceeds tol anywhere in the
-    stack, and NoConvergence if the underlying iteration gives up.
+    NumericalError when max|H - H^dagger| exceeds HERMITICITY_TOL
+    anywhere in the stack or the underlying iteration gives up.
     """
     a = _as_square_matrices(h)
     dev = np.abs(a - a.conj().swapaxes(-1, -2)).max()
-    if dev > tol:
-        raise NotHermitian(f"max |H - H^dagger| = {dev:.3e} exceeds {tol:.1e}")
+    if dev > HERMITICITY_TOL:
+        raise NumericalError(f"max |H - H^dagger| = {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+        raise NumericalError(str(exc)) from exc
     return EigenDecomposition(values=values, vectors=vectors)

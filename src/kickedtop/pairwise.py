@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NotPhysical, NumericalFailure
+from .errors import DomainError, NumericalError
 from .numerics import EigenDecomposition, hermitian_eigen
 from .spin import SymmetricState, _ladder
 
@@ -49,12 +49,12 @@ class CollectiveExpectations:
     splus_sz_anti: complex | np.ndarray    # <[S+, Sz]_+>
 
 
-def _check_rows(ok: np.ndarray, error: type, single: bool, message) -> None:
-    """Raise error for the first row where ok is False; name the row in a stack."""
+def _check_rows(ok: np.ndarray, single: bool, message) -> None:
+    """Raise NumericalError for the first row where ok is False; name the row in a stack."""
     if ok.all():
         return
     i = int(np.argmin(ok))
-    raise error(message(i) if single else f"row {i}: {message(i)}")
+    raise NumericalError(message(i) if single else f"row {i}: {message(i)}")
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,14 @@ class TwoQubitDensity:
         stack = rho.reshape(-1, 4, 4)
         sym = (stack + stack.conj().swapaxes(-1, -2)) / 2
         corr = np.abs(sym - stack).max(axis=(-2, -1))
-        _check_rows(corr <= HERMITIZE_TOL, NumericalFailure, single,
+        _check_rows(corr <= HERMITIZE_TOL, single,
                     lambda i: f"hermitizing moved an entry by {corr[i]:.3e}")
         tr = np.trace(sym, axis1=-2, axis2=-1).real
-        _check_rows(np.abs(tr - 1) <= TRACE_TOL, NotPhysical, single,
+        _check_rows(np.abs(tr - 1) <= TRACE_TOL, single,
                     lambda i: f"trace = {float(tr[i])!r}, expected 1")
         eig = hermitian_eigen(sym)
         lo = eig.values[:, 0]
-        _check_rows(lo >= PSD_FLOOR, NotPhysical, single,
+        _check_rows(lo >= PSD_FLOOR, single,
                     lambda i: f"eigenvalue {lo[i]:.3e} below {PSD_FLOOR:.1e}")
         if single:
             return cls(rho=sym[0], eig=EigenDecomposition(eig.values[0], eig.vectors[0]))

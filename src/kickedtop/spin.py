@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, IndexOutOfRange
+from .errors import DomainError
 
 # theta this close to pi is treated as the exact bottom-pole basis
 # state; the phi dependence is pure global phase there.
@@ -29,7 +29,7 @@ class SpinQuantum:
 
     def __post_init__(self):
         if self.two_j < 1:
-            raise IndexOutOfRange(f"two_j must be >= 1, got {self.two_j}")
+            raise DomainError(f"two_j must be >= 1, got {self.two_j}")
 
     @property
     def j(self) -> float:
@@ -97,7 +97,7 @@ def collective_operators(q: SpinQuantum) -> CollectiveOps:
 def number_state(n_qubits: int, n: int) -> SymmetricState:
     """|n>: exactly n qubits in |0>, an eigenstate of Jz with m = n - N/2."""
     if not 0 <= n <= n_qubits:
-        raise IndexOutOfRange(f"n = {n} outside 0..{n_qubits}")
+        raise DomainError(f"n = {n} outside 0..{n_qubits}")
     amps = np.zeros(n_qubits + 1, dtype=complex)
     amps[n] = 1.0
     return SymmetricState(amps=amps)
@@ -140,7 +140,7 @@ def spin_coherent(n_qubits: int, eta: complex) -> SymmetricState:
     approaches the top pole.
     """
     if n_qubits < 1:
-        raise IndexOutOfRange(f"n_qubits must be >= 1, got {n_qubits}")
+        raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
     if not cmath.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta}")
     return _product_state(n_qubits, complex(eta), 1.0)
@@ -156,7 +156,7 @@ def coherent_from_angles(n_qubits: int, theta: float, phi: float) -> SymmetricSt
     longer matters.
     """
     if n_qubits < 1:
-        raise IndexOutOfRange(f"n_qubits must be >= 1, got {n_qubits}")
+        raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise DomainError(f"theta and phi must be finite, got ({theta}, {phi})")
     if abs(theta - math.pi) <= POLE_SNAP_TOL:
@@ -174,7 +174,7 @@ def epr_state(n_qubits: int) -> np.ndarray:
     J1z - J2z since only n1 = n2 carries weight.
     """
     if n_qubits < 1:
-        raise IndexOutOfRange(f"n_qubits must be >= 1, got {n_qubits}")
+        raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
     dim = n_qubits + 1
     amps = np.zeros((dim, dim), dtype=complex)
     np.fill_diagonal(amps, 1 / math.sqrt(dim))

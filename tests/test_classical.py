@@ -8,8 +8,6 @@ import pytest
 from kickedtop import (
     DomainError,
     LyapunovEstimate,
-    NotTangent,
-    OffSphere,
     SpherePoint,
     classical_map,
     lyapunov,
@@ -54,9 +52,9 @@ def test_map_accepts_sphere_point_and_stays_on_sphere():
 
 
 def test_map_rejects_off_sphere_input():
-    with pytest.raises(OffSphere):
+    with pytest.raises(DomainError, match=r"^\|pt\|\^2 = .* is not 1$"):
         classical_map((0.0, 0.0, 1.1), 1.0, HALF_PI)
-    with pytest.raises(OffSphere):
+    with pytest.raises(DomainError, match=r"^\|pt\|\^2 = .* is not 1$"):
         tangent_step((0.5, 0.5, 0.5), (0.0, 0.0, 0.0), 1.0, HALF_PI)
 
 
@@ -92,7 +90,7 @@ def test_tangent_step_output_is_tangent_at_the_image():
 
 
 def test_tangent_step_rejects_non_tangent_vectors():
-    with pytest.raises(NotTangent):
+    with pytest.raises(DomainError, match=r"^v \. pt = .* is not 0$"):
         tangent_step((0.0, 0.0, 1.0), (0.0, 0.1, 1.0), 1.0, HALF_PI)
 
 

@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 import kickedtop.cli as cli
-from kickedtop import NumericalFailure, analytic_concurrence_series, dicke_concurrence_closed
+from kickedtop import NumericalError, analytic_concurrence_series, dicke_concurrence_closed
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +60,18 @@ def test_dicke_at_a_thousand_qubits_matches_the_closed_form(capsys):
     assert len(rows) == 1001
     for n, m, _, numeric in rows:
         assert abs(float(numeric) - dicke_concurrence_closed(int(n), float(m))) <= 1e-10
+
+
+def test_dicke_memory_stays_bounded_at_two_thousand_qubits(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "dicke", "--N", "2000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    assert out.count("\n") == 1 + 2001
+    assert peak < 16 << 20
 
 
 @pytest.mark.parametrize(
@@ -280,6 +292,14 @@ def test_lyapunov_rejects_small_step_counts(capsys):
     assert code == 2 and "steps must be >= 1000" in err
 
 
+@pytest.mark.parametrize("kappa0", ["1e155", "1e300"])
+def test_lyapunov_tangent_overflow_exits_three(capsys, kappa0):
+    code, out, err = run_cli(capsys, "lyapunov", "--kappa0", kappa0, "--steps", "1000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: tangent norm left the float range")
+
+
 def test_deterministic_byte_identical_reruns(capsys):
     for argv in (
         ("dicke", "--N", "5"),
@@ -310,11 +330,11 @@ def test_out_file_matches_stdout_bytes(tmp_path, capsys):
 
 def test_numerical_failures_map_to_exit_three(monkeypatch, capsys):
     def boom(n_max, kappa0):
-        raise NumericalFailure("deliberate")
+        raise NumericalError("deliberate")
 
     monkeypatch.setattr(cli, "analytic_concurrence_series", boom)
     code, _, err = run_cli(capsys, "analytic3", "--kappa0", "1", "--n-max", "4")
-    assert code == 3 and "numerical failure" in err
+    assert code == 3 and err == "numerical failure: deliberate\n"
 
 
 def run_child(*argv):

@@ -7,9 +7,7 @@ import pytest
 
 import kickedtop.kicked_top as kicked_top
 from kickedtop import (
-    DimensionMismatch,
     DomainError,
-    EmptyWindow,
     KickedTopParams,
     SpinQuantum,
     analytic_concurrence_series,
@@ -68,11 +66,11 @@ def test_evolution_preserves_norm_over_many_kicks():
 def test_evolve_validation():
     u = floquet(KickedTopParams(SpinQuantum(3), 1.0))
     state = number_state(3, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^kick count must be >= 0"):
         evolve(state, u, -1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DomainError, match=r"^operator dim 4 does not match state dim 5$"):
         evolve(number_state(4, 0), u, 1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DomainError, match=r"^operator shape \(3, 4\) is not square$"):
         evolve(state, np.zeros((3, 4)), 1)
 
 
@@ -213,5 +211,5 @@ def test_time_average():
     values = [c for _, c in series.entries]
     assert time_average(series, 0) == pytest.approx(sum(values) / 20, abs=1e-15)
     assert time_average(series, 15) == pytest.approx(sum(values[15:]) / 5, abs=1e-15)
-    with pytest.raises(EmptyWindow):
+    with pytest.raises(DomainError, match=r"^burn_in 20 leaves no entries out of 20$"):
         time_average(series, 20)

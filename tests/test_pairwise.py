@@ -7,8 +7,7 @@ import pytest
 
 from kickedtop import (
     DomainError,
-    NotPhysical,
-    NumericalFailure,
+    NumericalError,
     SpinQuantum,
     TwoQubitDensity,
     collective_expectations,
@@ -114,13 +113,13 @@ def test_reduce_symmetric_rejects_single_qubit():
 def test_from_matrix_validation():
     with pytest.raises(DomainError):
         TwoQubitDensity.from_matrix(np.eye(3))
-    with pytest.raises(NumericalFailure):
+    with pytest.raises(NumericalError, match=r"^hermitizing moved an entry by"):
         skew = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
         skew[0, 1] = 1e-3  # far beyond the hermitizing tolerance
         TwoQubitDensity.from_matrix(skew)
-    with pytest.raises(NotPhysical):
+    with pytest.raises(NumericalError, match=r"^trace = 2\.0, expected 1$"):
         TwoQubitDensity.from_matrix(np.eye(4) * 0.5)  # trace 2
-    with pytest.raises(NotPhysical):
+    with pytest.raises(NumericalError, match=r"^eigenvalue -1\.000e-01 below -1\.0e-07$"):
         TwoQubitDensity.from_matrix(np.diag([0.7, 0.5, -0.1, -0.1]))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kickedtop import (
-    IndexOutOfRange,
+    DomainError,
     SpinQuantum,
     coherent_from_angles,
     collective_expectations,
@@ -29,7 +29,7 @@ def test_spin_quantum_properties_and_validation():
     assert q.j == 1.5
     assert q.n_qubits == 3
     assert q.dim == 4
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DomainError, match=r"^two_j must be >= 1, got 0$"):
         SpinQuantum(0)
 
 
@@ -74,9 +74,9 @@ def test_number_state_basics():
     np.testing.assert_array_equal(s.amps, [0, 0, 1, 0])
     assert s.n_qubits == 3
     assert s.norm() == 1.0
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DomainError, match=r"^n = 4 outside 0\.\.3$"):
         number_state(3, 4)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DomainError, match=r"^n = -1 outside 0\.\.3$"):
         number_state(3, -1)
 
 
@@ -85,7 +85,7 @@ def test_spin_coherent_exact_binomial_amplitudes():
     np.testing.assert_allclose(s.amps, [0.5, math.sqrt(2) / 2, 0.5], atol=1e-15)
     # eta = 0 is the bottom pole, all qubits in |1>
     np.testing.assert_array_equal(spin_coherent(4, 0.0).amps, [1, 0, 0, 0, 0])
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DomainError, match=r"^n_qubits must be >= 1, got 0$"):
         spin_coherent(0, 1.0)
 
 
@@ -160,5 +160,5 @@ def test_epr_state_diagonal_amplitudes():
     assert amps.shape == (4, 4)
     np.testing.assert_allclose(amps, np.eye(4) / 2.0, atol=1e-15)
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-15
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DomainError, match=r"^n_qubits must be >= 1, got 0$"):
         epr_state(0)
