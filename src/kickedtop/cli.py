@@ -1,9 +1,12 @@
 """Command-line front end emitting CSV for every figure-class output.
 
-Every command writes a header row plus data rows, floats formatted to
-12 significant digits with '\\n' line endings, so identical invocations
-are byte-identical.  Output goes to stdout, or atomically to --out
-(temp file in the target directory, then rename).
+Every command computes all of its values first and then writes a header
+row plus one line per data row through a single writer, _emit.  The
+writer builds one line template per output from the first row: '{:d}'
+for integer columns, '{:.12g}' (12 significant digits) for every other
+column, '\\n' line endings, so identical invocations are byte-identical.
+Output goes to stdout, or atomically to --out (temp file in the target
+directory, then rename).
 
 Exit codes: 0 success, 2 argument error, 3 numerical failure.  Spin
 sizes 2j and qubit counts N above MAX_QUBITS are argument errors,
@@ -43,18 +46,27 @@ MAX_QUBITS = 4096
 LYAPUNOV_START = (math.sin(2.25), 0.0, math.cos(2.25))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "{:.12g}".format(float(value))
+def _emit(header: list[str], rows: Iterable[tuple], out_path: str | None) -> None:
+    """Write the CSV through one line template, one format call per row.
 
-
-def _emit(header: list[str], rows: list[tuple], out_path: str | None) -> None:
-    """Write the CSV line by line; rows is complete before anything is written."""
+    The template comes from the first row: '{:d}' for an integer column
+    (int or np.integer), '{:.12g}' for any other, so every row must have
+    the first row's column types.  rows may be lazy, but only over values
+    the caller has already computed, so nothing is written unless every
+    row is complete.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    lines = []
+    if first is not None:
+        template = ",".join(
+            "{:d}" if isinstance(v, (int, np.integer)) else "{:.12g}" for v in first
+        ) + "\n"
+        lines = itertools.starmap(template.format, itertools.chain([first], rows))
 
     def write(f) -> None:
         f.write(",".join(header) + "\n")
-        f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        f.writelines(lines)
 
     if out_path is None:
         write(sys.stdout)
@@ -148,22 +160,20 @@ def cmd_dicke(args) -> None:
             raise DomainError(f"M bounds must be finite, got {bound}")
     lo = -math.inf if args.M_min is None else args.M_min - 1e-12
     hi = math.inf if args.M_max is None else args.M_max + 1e-12
-    rows = []
+    tables = []
     for n_qubits in _qubit_counts(args.N, 2):
         levels = [n for n in range(n_qubits + 1) if lo <= n - n_qubits / 2 <= hi]
+        ms = [n - n_qubits / 2 for n in levels]
+        closed = [dicke_concurrence_closed(n_qubits, m) for m in ms]
         numeric = _pair_wootters((number_state(n_qubits, n) for n in levels), n_qubits)
-        for n, (c, _) in zip(levels, numeric):
-            m = n - n_qubits / 2
-            rows.append((n_qubits, m, dicke_concurrence_closed(n_qubits, m), c))
-    _emit(["N", "M", "C_closed", "C_numeric"], rows, args.out)
+        tables.append(zip(itertools.repeat(n_qubits), ms, closed, [c for c, _ in numeric]))
+    _emit(["N", "M", "C_closed", "C_numeric"], itertools.chain(*tables), args.out)
 
 
 def cmd_epr(args) -> None:
     counts = _qubit_counts(args.N, 1)
-    rows = []
-    if counts:
-        rows = list(zip(counts, wootters(epr_reduce(counts)).concurrence))
-    _emit(["N", "C"], rows, args.out)
+    concurrence = wootters(epr_reduce(counts)).concurrence if counts else []
+    _emit(["N", "C"], zip(counts, concurrence), args.out)
 
 
 def cmd_coherent(args) -> None:
@@ -173,8 +183,8 @@ def cmd_coherent(args) -> None:
     _check_size(n_qubits)
     etas = sorted(_float_list(args.eta))
     results = _pair_wootters((spin_coherent(n_qubits, eta) for eta in etas), n_qubits)
-    rows = [(eta, c_lambda) for eta, (_, c_lambda) in zip(etas, results)]
-    _emit(["eta", "c_lambda"], rows, args.out)
+    c_lambdas = [c_lambda for _, c_lambda in results]
+    _emit(["eta", "c_lambda"], zip(etas, c_lambdas), args.out)
 
 
 def cmd_qkt_series(args) -> None:
@@ -182,12 +192,12 @@ def cmd_qkt_series(args) -> None:
     kappa0 = _resolve_kappa0_single(args.kappa0, args.kappa)
     params = KickedTopParams(q, kappa0)
     series = concurrence_series(params, args.theta0, args.phi0, args.n_max)
+    kicks = range(1, args.n_max + 1)
     if q.two_j == 3:
         analytic = analytic_concurrence_series(args.n_max, kappa0)
-        rows = [(n, c, analytic[n - 1]) for n, c in series.entries]
-        _emit(["n", "C", "C_analytic"], rows, args.out)
+        _emit(["n", "C", "C_analytic"], zip(kicks, series.concurrence, analytic), args.out)
     else:
-        _emit(["n", "C"], list(series.entries), args.out)
+        _emit(["n", "C"], zip(kicks, series.concurrence), args.out)
 
 
 def cmd_qkt_sweep(args) -> None:
@@ -197,29 +207,29 @@ def cmd_qkt_sweep(args) -> None:
     else:
         grid = _resolve_kappa0(args.kappa0, args.kappa)
     sweep = concurrence_sweep(q, sorted(grid), args.theta0, args.phi0, args.n_max)
-    rows = [(s.params.kappa0, time_average(s, args.burn_in)) for s in sweep]
-    _emit(["kappa0", "C_timeavg"], rows, args.out)
+    averages = [time_average(s, args.burn_in) for s in sweep]
+    _emit(["kappa0", "C_timeavg"], zip((s.params.kappa0 for s in sweep), averages), args.out)
 
 
 def cmd_analytic3(args) -> None:
     kappa0 = _resolve_kappa0_single(args.kappa0, args.kappa)
     values = analytic_concurrence_series(args.n_max, kappa0)
-    rows = [(n, values[n - 1]) for n in range(1, args.n_max + 1)]
-    _emit(["n", "C_analytic"], rows, args.out)
+    _emit(["n", "C_analytic"], zip(range(1, args.n_max + 1), values), args.out)
 
 
 def cmd_lyapunov(args) -> None:
     grid = sorted(_resolve_kappa0(args.kappa0, args.kappa))
     seeds = sorted(_int_list(args.seeds))
-    rows = []
-    for kappa0 in grid:
-        for seed in seeds:
-            running = lyapunov_running(
-                kappa0, math.pi / 2.0, LYAPUNOV_START, args.steps, seed=seed
-            )
-            rows.extend(
-                (kappa0, seed, n, lam) for n, lam in enumerate(running, start=1)
-            )
+    runs = [
+        (kappa0, seed, lyapunov_running(kappa0, math.pi / 2.0, LYAPUNOV_START, args.steps, seed=seed))
+        for kappa0 in grid
+        for seed in seeds
+    ]
+    rows = (
+        (kappa0, seed, n, lam)
+        for kappa0, seed, running in runs
+        for n, lam in enumerate(running, start=1)
+    )
     _emit(["kappa0", "seed", "n", "lambda_running"], rows, args.out)
 
 

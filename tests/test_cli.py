@@ -9,10 +9,19 @@ import sys
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 import kickedtop.cli as cli
-from kickedtop import NumericalError, analytic_concurrence_series, dicke_concurrence_closed
+from kickedtop import (
+    KickedTopParams,
+    NumericalError,
+    SpinQuantum,
+    analytic_concurrence_series,
+    concurrence_series,
+    dicke_concurrence_closed,
+    lyapunov_running,
+)
 
 
 def run_cli(capsys, *argv):
@@ -24,6 +33,18 @@ def run_cli(capsys, *argv):
 def parse(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def per_value_csv(header, rows):
+    """The CSV text by the per-value rule: integers as str(int(v)), the rest to 12 digits."""
+
+    def fmt(value):
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return "{:.12g}".format(float(value))
+
+    lines = [",".join(header)] + [",".join(map(fmt, row)) for row in rows]
+    return "".join(line + "\n" for line in lines)
 
 
 def test_dicke_header_and_column_agreement(capsys):
@@ -292,12 +313,17 @@ def test_lyapunov_rejects_small_step_counts(capsys):
     assert code == 2 and "steps must be >= 1000" in err
 
 
-@pytest.mark.parametrize("kappa0", ["1e155", "1e300"])
-def test_lyapunov_tangent_overflow_exits_three(capsys, kappa0):
-    code, out, err = run_cli(capsys, "lyapunov", "--kappa0", kappa0, "--steps", "1000")
+# "1,1e155": a later kappa0 fails after the first has all its rows
+@pytest.mark.parametrize("kappa0", ["1e155", "1e300", "1,1e155"])
+def test_lyapunov_tangent_overflow_exits_three(tmp_path, capsys, kappa0):
+    argv = ("lyapunov", "--kappa0", kappa0, "--steps", "1000")
+    code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
     assert err.startswith("numerical failure: tangent norm left the float range")
+    code, out, _ = run_cli(capsys, "--out", str(tmp_path / "lyapunov.csv"), *argv)
+    assert code == 3 and out == ""
+    assert list(tmp_path.iterdir()) == []  # no target and no .tmp-* file
 
 
 def test_deterministic_byte_identical_reruns(capsys):
@@ -326,6 +352,61 @@ def test_out_file_matches_stdout_bytes(tmp_path, capsys):
     assert target.read_text() == stdout_run
     # no stray temp files left behind
     assert [p.name for p in tmp_path.iterdir()] == ["series.csv"]
+
+
+def test_writer_matches_the_per_value_rule(tmp_path, capsys):
+    header = ["i", "j", "a", "b", "c", "d", "e", "f", "g", "h"]
+    rows = [
+        (7, np.int64(-3), 0.1, np.float64(2.0 / 3.0), -0.0, 5e-324, 1e-300, 1e300, math.inf, math.nan),
+        (-12, np.int64(2**62), 1.0, np.float64(-1e-5), 0.0, -5e-324, 123456789.0123, -1e300, -math.inf, 2.5),
+    ]
+    expected = per_value_csv(header, rows)
+    assert expected.splitlines()[1] == "7,-3,0.1,0.666666666667,-0,4.94065645841e-324,1e-300,1e+300,inf,nan"
+    cli._emit(header, iter(rows), None)
+    assert capsys.readouterr().out == expected
+    target = tmp_path / "rows.csv"
+    cli._emit(header, iter(rows), str(target))
+    assert target.read_bytes() == expected.encode()
+    cli._emit(header, iter([]), None)
+    assert capsys.readouterr().out == "i,j,a,b,c,d,e,f,g,h\n"
+
+
+def expected_lyapunov_csv():
+    start = (math.sin(2.25), 0.0, math.cos(2.25))
+    rows = [
+        (kappa0, seed, n, lam)
+        for kappa0 in (0.0, 1.2)
+        for seed in (0, 3)
+        for n, lam in enumerate(lyapunov_running(kappa0, math.pi / 2, start, 1000, seed=seed), 1)
+    ]
+    return per_value_csv(["kappa0", "seed", "n", "lambda_running"], rows)
+
+
+def expected_qkt_series_csv():
+    series = concurrence_series(KickedTopParams(SpinQuantum(3), 2.1), 0.0, 0.0, 50)
+    analytic = analytic_concurrence_series(50, 2.1)
+    rows = [(n, c, analytic[n - 1]) for n, c in series.entries]
+    return per_value_csv(["n", "C", "C_analytic"], rows)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("lyapunov", "--kappa0", "0,1.2", "--seeds", "0,3", "--steps", "1000"), expected_lyapunov_csv),
+        (("qkt-series", "--j", "1.5", "--kappa0", "2.1", "--n-max", "50"), expected_qkt_series_csv),
+    ],
+    ids=["lyapunov", "qkt-series"],
+)
+def test_csv_bytes_match_the_library_values(tmp_path, capsys, argv, expected):
+    text = expected()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == text
+    target = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "--out", str(target), *argv)
+    assert (code, out, err) == (0, "", "")
+    assert target.read_bytes() == text.encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_numerical_failures_map_to_exit_three(monkeypatch, capsys):
