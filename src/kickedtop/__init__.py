@@ -14,12 +14,9 @@ from .numerics import (
     hermitian_eigen,
 )
 from .spin import (
-    CollectiveOps,
     SpinQuantum,
     SymmetricState,
     coherent_from_angles,
-    collective_operators,
-    epr_state,
     number_state,
     spin_coherent,
 )
@@ -33,12 +30,9 @@ from .pairwise import (
 )
 from .concurrence import (
     ConcurrenceResult,
-    binary_entropy,
     concurrence_dicke_form,
     concurrence_x_form,
     dicke_concurrence_closed,
-    entanglement_of_formation,
-    von_neumann_entropy,
     wootters,
 )
 from .kicked_top import (
@@ -75,7 +69,6 @@ from .classical import (
 __all__ = [
     "ChebyshevStep",
     "CollectiveExpectations",
-    "CollectiveOps",
     "ConcurrenceResult",
     "ConcurrenceSeries",
     "DomainError",
@@ -91,7 +84,6 @@ __all__ = [
     "TwoQubitDensity",
     "analytic_concurrence",
     "analytic_concurrence_series",
-    "binary_entropy",
     "blocks_u_pm",
     "build_parity_basis",
     "chebyshev_step",
@@ -99,16 +91,13 @@ __all__ = [
     "classical_map",
     "coherent_from_angles",
     "collective_expectations",
-    "collective_operators",
     "concurrence_dicke_form",
     "concurrence_series",
     "concurrence_sweep",
     "concurrence_x_form",
     "dicke_concurrence_closed",
-    "entanglement_of_formation",
     "epr_expectations",
     "epr_reduce",
-    "epr_state",
     "evolve",
     "first_kick_concurrence",
     "floquet",
@@ -122,7 +111,6 @@ __all__ = [
     "spin_coherent",
     "time_average",
     "tangent_step",
-    "von_neumann_entropy",
     "wootters",
 ]
 

@@ -9,8 +9,9 @@ Output goes to stdout, or atomically to --out (temp file in the target
 directory, then rename).
 
 Exit codes: 0 success, 2 argument error, 3 numerical failure.  Spin
-sizes 2j and qubit counts N above MAX_QUBITS are argument errors,
-rejected before anything is allocated.
+sizes 2j and qubit counts N above MAX_QUBITS, kick and step counts
+above MAX_STEPS, and an --out path that cannot be written are argument
+errors; the caps are checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from .spin import SpinQuantum, SymmetricState, number_state, spin_coherent
 SWEEP_GRID_POINTS = 25
 # Largest 2j or N accepted: a dense rotation at 2j = 4096 is 268 MB.
 MAX_QUBITS = 4096
+# Largest --n-max or --steps accepted; nothing in use needs more than 1e5.
+MAX_STEPS = 10**7
 LYAPUNOV_START = (math.sin(2.25), 0.0, math.cos(2.25))
 
 
@@ -72,15 +75,18 @@ def _emit(header: list[str], rows: Iterable[tuple], out_path: str | None) -> Non
         write(sys.stdout)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
     try:
-        with os.fdopen(fd, "w", newline="") as f:
-            write(f)
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
+        try:
+            with os.fdopen(fd, "w", newline="") as f:
+                write(f)
+            os.replace(tmp, out_path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise DomainError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 def _int_list(text: str) -> list[int]:
@@ -97,9 +103,9 @@ def _float_list(text: str) -> list[float]:
         raise DomainError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _check_size(n_qubits: int) -> None:
-    if n_qubits > MAX_QUBITS:
-        raise DomainError(f"{n_qubits} qubits exceeds the cap of {MAX_QUBITS}")
+def _check_size(count: int, cap: int = MAX_QUBITS, unit: str = "qubits") -> None:
+    if count > cap:
+        raise DomainError(f"{count} {unit} exceeds the cap of {cap}")
 
 
 def _qubit_counts(text: str, minimum: int) -> list[int]:
@@ -115,7 +121,10 @@ def _qubit_counts(text: str, minimum: int) -> list[int]:
 def _spin_from_j(j: float) -> SpinQuantum:
     if not math.isfinite(j):
         raise DomainError(f"j must be finite, got {j}")
-    two_j = round(2.0 * j)
+    # round() raises OverflowError on an infinite 2j: cap j, and clamp it at 0
+    if j > MAX_QUBITS:
+        raise DomainError(f"j = {j} exceeds the cap of {MAX_QUBITS} qubits")
+    two_j = round(2.0 * max(j, 0.0))
     if abs(2.0 * j - two_j) > 1e-9 or two_j < 1:
         raise DomainError(f"j = {j} is not a positive half-integer")
     _check_size(two_j)
@@ -189,6 +198,7 @@ def cmd_coherent(args) -> None:
 
 def cmd_qkt_series(args) -> None:
     q = _spin_from_j(args.j)
+    _check_size(args.n_max, MAX_STEPS, "kicks")
     kappa0 = _resolve_kappa0_single(args.kappa0, args.kappa)
     params = KickedTopParams(q, kappa0)
     series = concurrence_series(params, args.theta0, args.phi0, args.n_max)
@@ -202,6 +212,7 @@ def cmd_qkt_series(args) -> None:
 
 def cmd_qkt_sweep(args) -> None:
     q = _spin_from_j(args.j)
+    _check_size(args.n_max, MAX_STEPS, "kicks")
     if args.kappa0 is None and args.kappa is None:
         grid = list(np.linspace(0.0, math.pi * q.j, SWEEP_GRID_POINTS))
     else:
@@ -212,12 +223,14 @@ def cmd_qkt_sweep(args) -> None:
 
 
 def cmd_analytic3(args) -> None:
+    _check_size(args.n_max, MAX_STEPS, "kicks")
     kappa0 = _resolve_kappa0_single(args.kappa0, args.kappa)
     values = analytic_concurrence_series(args.n_max, kappa0)
     _emit(["n", "C_analytic"], zip(range(1, args.n_max + 1), values), args.out)
 
 
 def cmd_lyapunov(args) -> None:
+    _check_size(args.steps, MAX_STEPS, "steps")
     grid = sorted(_resolve_kappa0(args.kappa0, args.kappa))
     seeds = sorted(_int_list(args.seeds))
     runs = [

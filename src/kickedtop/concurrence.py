@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .numerics import hermitian_eigen
 from .pairwise import TwoQubitDensity
 
 _EPS = float(np.finfo(float).eps)
@@ -187,47 +186,3 @@ def dicke_concurrence_closed(n_qubits: int, m: float) -> float:
         return 0.0
     num = a - math.sqrt(a * b)
     return max(0.0, num / (2.0 * n_qubits * (n_qubits - 1)))
-
-
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0."""
-    if not -1e-12 <= x <= 1.0 + 1e-12:
-        raise DomainError(f"binary entropy argument {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    s = 0.0
-    if x > 0.0:
-        s -= x * math.log2(x)
-    if x < 1.0:
-        s -= (1.0 - x) * math.log2(1.0 - x)
-    return s
-
-
-def entanglement_of_formation(concurrence: float) -> float:
-    """Entanglement of formation from concurrence (two qubits).
-
-    E = h((1 + sqrt(1 - C^2)) / 2).  Monotone in C, so it carries the
-    same ordering; the value is in ebits.
-    """
-    if not -1e-9 <= concurrence <= 1.0 + 1e-9:
-        raise DomainError(f"concurrence {concurrence} outside [0, 1]")
-    c = min(max(concurrence, 0.0), 1.0)
-    return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
-
-
-def von_neumann_entropy(rho) -> float:
-    """Entropy -sum t log2 t of a density matrix, in bits.
-
-    Eigenvalues are clamped at zero below; anything under -1e-9 means
-    the input was not a state and raises NumericalError.
-    """
-    a = np.asarray(rho, dtype=complex)
-    eig = hermitian_eigen(a)
-    t = eig.values
-    if t.min() < -1e-9:
-        raise NumericalError(f"eigenvalue {t.min():.3e} is negative")
-    tr = float(t.sum())
-    if abs(tr - 1.0) > 1e-9:
-        raise NumericalError(f"trace {tr} differs from 1")
-    t = np.clip(t, 0.0, None)
-    nz = t[t > 0.0]
-    return float(-(nz * np.log2(nz)).sum())

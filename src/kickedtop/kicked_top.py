@@ -188,7 +188,9 @@ def concurrence_series(
 
 def time_average(series: ConcurrenceSeries, burn_in: int) -> float:
     """Mean concurrence over entries with kick index n > burn_in."""
-    tail = series.concurrence[max(burn_in, 0) :]
+    if burn_in < 0:
+        raise DomainError(f"burn_in must be >= 0, got {burn_in}")
+    tail = series.concurrence[burn_in:]
     if tail.size == 0:
         raise DomainError(f"burn_in {burn_in} leaves no entries out of {series.concurrence.size}")
     return float(np.mean(tail))

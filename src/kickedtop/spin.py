@@ -1,4 +1,4 @@
-"""Collective spin operators and reference states on the symmetric subspace.
+"""Spin sizes and reference states on the symmetric subspace.
 
 Basis convention used by the whole package: a symmetric N-qubit state
 is a vector over |n>, n = 0..N, where n counts the qubits in |0> and
@@ -54,18 +54,6 @@ class SymmetricState:
     def n_qubits(self) -> int:
         return len(self.amps) - 1
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-
-@dataclass(frozen=True)
-class CollectiveOps:
-    jx: np.ndarray
-    jy: np.ndarray
-    jz: np.ndarray
-    jplus: np.ndarray
-    jminus: np.ndarray
-
 
 def _ladder(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """m_n = n - N/2 for n = 0..N, and c_n = <n+1|J+|n> for n = 0..N-1.
@@ -77,21 +65,6 @@ def _ladder(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     m = np.arange(n_qubits + 1) - j
     c = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
     return m, c
-
-
-def collective_operators(q: SpinQuantum) -> CollectiveOps:
-    """Jx, Jy, Jz and ladder operators on the (N+1)-dimensional subspace.
-
-    <m+1|J+|m> = sqrt(j(j+1) - m(m+1)) with m = n - N/2 ascending along
-    the basis index.
-    """
-    m, c = _ladder(q.n_qubits)
-    jz = np.diag(m.astype(complex))
-    jplus = np.diag(c.astype(complex), k=-1)
-    jminus = jplus.conj().T
-    jx = (jplus + jminus) / 2
-    jy = (jplus - jminus) / 2j
-    return CollectiveOps(jx=jx, jy=jy, jz=jz, jplus=jplus, jminus=jminus)
 
 
 def number_state(n_qubits: int, n: int) -> SymmetricState:
@@ -164,18 +137,3 @@ def coherent_from_angles(n_qubits: int, theta: float, phi: float) -> SymmetricSt
     return _product_state(
         n_qubits, math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2)
     )
-
-
-def epr_state(n_qubits: int) -> np.ndarray:
-    """Two N-qubit ensembles in the diagonal superposition over (n, n).
-
-    Returns the (N+1) x (N+1) amplitude matrix amps[n1, n2], equal to
-    1/sqrt(N+1) on the diagonal.  The state is annihilated by
-    J1z - J2z since only n1 = n2 carries weight.
-    """
-    if n_qubits < 1:
-        raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
-    dim = n_qubits + 1
-    amps = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(amps, 1 / math.sqrt(dim))
-    return amps

@@ -30,6 +30,17 @@ def run_cli(capsys, *argv):
     return code, out, err
 
 
+def run_cli_traced(capsys, *argv):
+    """run_cli plus the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, out, err, peak
+
+
 def parse(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -84,12 +95,7 @@ def test_dicke_at_a_thousand_qubits_matches_the_closed_form(capsys):
 
 
 def test_dicke_memory_stays_bounded_at_two_thousand_qubits(capsys):
-    tracemalloc.start()
-    try:
-        code, out, err = run_cli(capsys, "dicke", "--N", "2000")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, out, err, peak = run_cli_traced(capsys, "dicke", "--N", "2000")
     assert code == 0 and err == ""
     assert out.count("\n") == 1 + 2001
     assert peak < 16 << 20
@@ -128,19 +134,33 @@ def test_non_finite_inputs_exit_two(capsys, argv):
         ("dicke", "--N", "4,4097"),
         ("epr", "--N", "1,100000000"),
         ("coherent", "--N", "4097", "--eta", "1"),
+        ("qkt-series", "--j", "1e308", "--kappa0", "1", "--n-max", "2"),
     ],
 )
 def test_sizes_above_the_cap_exit_two_before_allocating(capsys, argv):
     assert cli.MAX_QUBITS == 4096
-    tracemalloc.start()
-    try:
-        code, out, err = run_cli(capsys, *argv)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, out, err, peak = run_cli_traced(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "exceeds the cap of 4096" in err
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qkt-series", "--j", "1.5", "--kappa0", "1", "--n-max", "10000000000000"),
+        ("qkt-sweep", "--j", "1.5", "--n-max", "10000001"),
+        ("analytic3", "--kappa0", "1", "--n-max", "10000000000000"),
+        ("lyapunov", "--kappa0", "1", "--steps", "10000001"),
+    ],
+)
+def test_counts_above_the_step_cap_exit_two_before_allocating(capsys, argv):
+    assert cli.MAX_STEPS == 10**7
+    code, out, err, peak = run_cli_traced(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds the cap of 10000000" in err
     assert peak < 4 << 20
 
 
@@ -242,6 +262,8 @@ def test_qkt_series_plain_columns_for_other_spins(capsys):
 def test_qkt_series_rejects_bad_spin_and_kappa_combinations(capsys):
     code, _, err = run_cli(capsys, "qkt-series", "--j", "1.3", "--kappa0", "1", "--n-max", "5")
     assert code == 2 and "half-integer" in err
+    code, out, err = run_cli(capsys, "qkt-series", "--j=-1e308", "--kappa0", "1", "--n-max", "2")
+    assert code == 2 and out == "" and err.startswith("error: ") and "half-integer" in err
     code, _, err = run_cli(
         capsys, "qkt-series", "--j", "1.5", "--kappa0", "1", "--kappa", "1", "--n-max", "5"
     )
@@ -291,6 +313,12 @@ def test_qkt_sweep_default_grid(capsys):
     grid = [float(r[0]) for r in rows]
     assert grid == sorted(grid)
     assert grid[0] == 0.0 and grid[-1] == pytest.approx(1.5 * math.pi, abs=1e-9)
+
+
+def test_qkt_sweep_rejects_a_negative_burn_in(capsys):
+    code, out, err = run_cli(capsys, "qkt-sweep", "--j", "1.5", "--n-max", "5", "--burn-in", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: burn_in must be >= 0, got -3\n"
 
 
 def test_lyapunov_rows_and_running_column(capsys):
@@ -352,6 +380,18 @@ def test_out_file_matches_stdout_bytes(tmp_path, capsys):
     assert target.read_text() == stdout_run
     # no stray temp files left behind
     assert [p.name for p in tmp_path.iterdir()] == ["series.csv"]
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "dir"])
+def test_an_unwritable_out_path_exits_two(tmp_path, capsys, target):
+    # a missing directory fails in mkstemp, an existing directory in os.replace
+    (tmp_path / "dir").mkdir()
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, "--out", str(path), "epr", "--N", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write ") and str(path) in err
+    assert err.count("\n") == 1
+    assert list(path.parent.glob(".tmp-*")) == []
 
 
 def test_writer_matches_the_per_value_rule(tmp_path, capsys):

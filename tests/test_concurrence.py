@@ -1,4 +1,4 @@
-"""Wootters concurrence, structured shortcuts, and entanglement measures."""
+"""Wootters concurrence and its structured shortcuts."""
 
 import math
 
@@ -10,16 +10,13 @@ from kickedtop import (
     DomainError,
     NumericalError,
     TwoQubitDensity,
-    binary_entropy,
     collective_expectations,
     concurrence_dicke_form,
     concurrence_x_form,
     dicke_concurrence_closed,
-    entanglement_of_formation,
     epr_reduce,
     number_state,
     reduce_symmetric,
-    von_neumann_entropy,
     wootters,
 )
 from kickedtop.spin import SymmetricState
@@ -270,37 +267,3 @@ def test_dicke_closed_domain_errors():
         dicke_concurrence_closed(15, 0.0)  # wrong parity for odd N
     with pytest.raises(DomainError):
         dicke_concurrence_closed(4, 3.0)  # |M| > N/2
-
-
-def test_binary_entropy_anchors():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert binary_entropy(0.5) == 1.0
-    for x in (0.1, 0.25, 0.42):
-        assert binary_entropy(x) == pytest.approx(binary_entropy(1.0 - x), abs=1e-14)
-    with pytest.raises(DomainError):
-        binary_entropy(1.2)
-
-
-def test_entanglement_of_formation():
-    assert entanglement_of_formation(0.0) == 0.0
-    assert entanglement_of_formation(1.0) == 1.0
-    assert entanglement_of_formation(0.6) == pytest.approx(0.4689955935892811, abs=1e-14)
-    grid = [entanglement_of_formation(c) for c in np.linspace(0.0, 1.0, 21)]
-    assert all(b > a for a, b in zip(grid, grid[1:]))
-    with pytest.raises(DomainError):
-        entanglement_of_formation(1.5)
-
-
-def test_von_neumann_entropy():
-    assert von_neumann_entropy(BELL) == pytest.approx(0.0, abs=1e-9)
-    assert von_neumann_entropy(np.eye(4) / 4) == pytest.approx(2.0, abs=1e-12)
-    # Werner spectrum: (1+3f)/4 once, (1-f)/4 three times
-    f = 0.5
-    t1, t3 = (1 + 3 * f) / 4, (1 - f) / 4
-    want = -(t1 * math.log2(t1) + 3 * t3 * math.log2(t3))
-    assert von_neumann_entropy(werner(f)) == pytest.approx(want, abs=1e-12)
-    with pytest.raises(NumericalError, match=r"^eigenvalue -2\.000e-01 is negative$"):
-        von_neumann_entropy(np.diag([0.8, 0.4, -0.2, 0.0]))
-    with pytest.raises(NumericalError, match=r"^trace 4\.0 differs from 1$"):
-        von_neumann_entropy(np.eye(4))

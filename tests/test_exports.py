@@ -17,3 +17,53 @@ def test_one_error_class_per_exit_code():
         and issubclass(getattr(kickedtop, name), Exception)
     ]
     assert sorted(errors) == ["DomainError", "KickedTopError", "NumericalError"]
+
+
+def test_the_public_surface_is_pinned():
+    assert sorted(kickedtop.__all__) == [
+        "ChebyshevStep",
+        "CollectiveExpectations",
+        "ConcurrenceResult",
+        "ConcurrenceSeries",
+        "DomainError",
+        "EigenDecomposition",
+        "KickedTopError",
+        "KickedTopParams",
+        "LyapunovEstimate",
+        "NumericalError",
+        "ParityBasis",
+        "SpherePoint",
+        "SpinQuantum",
+        "SymmetricState",
+        "TwoQubitDensity",
+        "analytic_concurrence",
+        "analytic_concurrence_series",
+        "blocks_u_pm",
+        "build_parity_basis",
+        "chebyshev_step",
+        "chebyshev_table",
+        "classical_map",
+        "coherent_from_angles",
+        "collective_expectations",
+        "concurrence_dicke_form",
+        "concurrence_series",
+        "concurrence_sweep",
+        "concurrence_x_form",
+        "dicke_concurrence_closed",
+        "epr_expectations",
+        "epr_reduce",
+        "evolve",
+        "first_kick_concurrence",
+        "floquet",
+        "hermitian_eigen",
+        "lyapunov",
+        "lyapunov_running",
+        "number_state",
+        "parity_operator",
+        "reduce_symmetric",
+        "rho12_analytic",
+        "spin_coherent",
+        "tangent_step",
+        "time_average",
+        "wootters",
+    ]

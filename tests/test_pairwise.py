@@ -11,7 +11,6 @@ from kickedtop import (
     SpinQuantum,
     TwoQubitDensity,
     collective_expectations,
-    collective_operators,
     epr_expectations,
     epr_reduce,
     number_state,
@@ -19,6 +18,7 @@ from kickedtop import (
     spin_coherent,
 )
 from kickedtop.spin import SymmetricState
+from dense_spin import collective_operators
 from oracles import (
     epr_expectations_bruteforce,
     epr_pair_reduction_bruteforce,
