@@ -8,8 +8,10 @@ about z whose strength kappa0 is scaled by 1/(2j):
 The torsion factor is diagonal in the Jz eigenbasis, so it is applied
 as explicit phases exp(-i kappa0 m^2 / (2j)) rather than through a
 matrix exponential.  The rotation is the real orthogonal Wigner
-d-matrix: `_rotation` builds it from one real symmetric eigensolve of
-the tridiagonal Jx, with no complex eigensolver.
+d-matrix, built with no eigensolver: the eigenvectors of the
+tridiagonal Jx, whose eigenvalues are exactly m = -j..j, come from the
+Jx three-term recurrence run up to the middle index and reflected
+through it, and one real matrix product then gives the whole rotation.
 
 `concurrence_sweep` is the one engine behind every concurrence series.
 For one (2j, p) it builds the rotation exp(-i p Jy) once and pushes the
@@ -32,7 +34,6 @@ import numpy as np
 
 from .concurrence import wootters
 from .errors import DomainError
-from .numerics import hermitian_eigen
 from .pairwise import collective_expectations, reduce_symmetric
 from .spin import SpinQuantum, SymmetricState, _ladder, coherent_from_angles
 
@@ -46,6 +47,13 @@ KICK_BLOCK_AMPLITUDES = 1 << 14
 # Sign of rotation entry [a, b] by k = (a - b) mod 4: (-i)^k times C for
 # even k, (-i)^k times -iS for odd k.
 _QUARTER_TURN_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
+
+# A column of the Jx recurrence is scaled by _RESCALE_STEP (exact, a
+# power of two) once an entry passes _RESCALE_AT.  One step grows an
+# entry by at most about 1.5 sqrt(N), so for any N below 2^250 the
+# squared entries of a column cannot sum past the float range.
+_RESCALE_AT = 2.0**256
+_RESCALE_STEP = 2.0**-256
 
 
 @dataclass(frozen=True)
@@ -89,21 +97,45 @@ def _rotation(q: SpinQuantum, p: float) -> np.ndarray:
     """exp(-i p Jy) on the (2j+1)-dimensional symmetric subspace, as a real matrix.
 
     Jy = D Jx D^dagger with D = diag((-i)^n), and Jx is real symmetric
-    tridiagonal, so with Jx = V W V^T the rotation is
-    R[a, b] = (-i)^(a-b) (C - iS)[a, b], C = V cos(pW) V^T, S = V sin(pW) V^T.
-    C only couples n to n +- even and S to n +- odd, so every entry is
-    real: +-C[a, b] for even a - b and +-S[a, b] for odd a - b.
+    tridiagonal with eigenvalues exactly m = -j..j, so with Jx = V W V^T
+    the rotation is R[a, b] = (-i)^(a-b) (C - iS)[a, b],
+    C = V cos(pW) V^T, S = V sin(pW) V^T.
+
+    Column b of V solves c[n-1] v[n-1] + c[n] v[n+1] = 2 m_b v[n], run
+    upward from v[0] = 1 for all b at once up to the middle index; the
+    upper half follows from v[N-n] = (-1)^(N-b) v[n], since Jx commutes
+    with n -> N-n.  A column is rescaled by _RESCALE_STEP whenever it
+    passes _RESCALE_AT, then every column is normalised (its sign does
+    not matter, as V enters only as V f(W) V^T).
+
+    The recurrence gives v(-m) = diag((-1)^n) v(m) exactly, so C is zero
+    at odd a - b and S at even a - b, and one product
+    V (cos(pW) + sin(pW)) V^T holds both: every entry of R is real,
+    +-C[a, b] for even a - b and +-S[a, b] for odd a - b.
     """
-    _, c = _ladder(q.n_qubits)
-    lower = np.diag(c / 2.0, k=-1)
-    jx = lower + lower.T
-    dec = hermitian_eigen(jx)
-    v, angles = dec.vectors, p * dec.values
-    cos_part = (v * np.cos(angles)) @ v.T
-    sin_part = (v * np.sin(angles)) @ v.T
-    n = np.arange(q.dim)
-    offset = (n[:, None] - n[None, :]) % 4
-    return _QUARTER_TURN_SIGN[offset] * np.where(offset % 2 == 0, cos_part, sin_part)
+    m, c = _ladder(q.n_qubits)
+    top, half = q.n_qubits, q.n_qubits // 2
+    two_m = 2.0 * m
+    v = np.empty((q.dim, q.dim))
+    v[0] = 1.0
+    below = np.zeros(q.dim)  # c[n-1] v[n-1], absent at n = 0
+    for n in range(half):
+        v[n + 1] = (two_m * v[n] - below) / c[n]
+        below = c[n] * v[n]
+        big = np.abs(v[n + 1]) > _RESCALE_AT
+        if big.any():
+            v[: n + 2, big] *= _RESCALE_STEP
+            below[big] *= _RESCALE_STEP
+    v[top - half :] = v[half::-1] * (-1.0) ** np.arange(top, -1, -1)
+    v /= np.sqrt(np.einsum("nb,nb->b", v, v))
+    # the rescaled far edges of the outer columns end up subnormal, and
+    # subnormals slow the GEMM down about 1.5x at 2j = 4096
+    v[np.abs(v) < np.finfo(float).tiny] = 0.0
+    angles = p * m
+    rotation = (v * (np.cos(angles) + np.sin(angles))) @ v.T
+    for a in range(4):
+        rotation[a::4] *= _QUARTER_TURN_SIGN[(a - np.arange(q.dim)) % 4]
+    return rotation
 
 
 def _torsion(q: SpinQuantum, kappa0s) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Delegated to LAPACK via numpy and wrapped so that bad input and failed
 iterations surface as package errors.  A real symmetric input is
-decomposed in real arithmetic and gives real eigenvectors.
+decomposed in real arithmetic and gives real eigenvectors.  Its one
+caller in the package is the two-qubit pair path
+(`TwoQubitDensity.from_matrix`, on stacks of 4x4 matrices); the kick
+rotation needs no eigensolver.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kickedtop.kicked_top as kicked_top
+import kickedtop.spin as spin
 from kickedtop import (
     DomainError,
     KickedTopParams,
@@ -101,6 +102,20 @@ def test_rotation_composes_additively():
 def test_rotation_stays_orthogonal_at_large_j():
     r = kicked_top._rotation(SpinQuantum(2000), math.pi / 2.0)
     assert np.abs(r.T @ r - np.eye(2001)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 4, 5, 200, 2000])
+def test_rotation_turns_jz_towards_jx(two_j):
+    # R Jz R^T = cos p Jz + sin p Jx, with no eigensolver on either side;
+    # at 2j = 2000 the recurrence behind R has to rescale its columns
+    q = SpinQuantum(two_j)
+    m, c = spin._ladder(two_j)
+    lower = np.diag(c / 2.0, k=-1)
+    jz, jx = np.diag(m), lower + lower.T
+    for p in (math.pi / 2.0, 0.37, 2.9):
+        r = kicked_top._rotation(q, p)
+        turned = (r * m) @ r.T  # R Jz R^T, as Jz is diagonal
+        assert np.abs(turned - (math.cos(p) * jz + math.sin(p) * jx)).max() <= 1e-13 * q.j
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 3, 4, 5, 30])
