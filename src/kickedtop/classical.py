@@ -194,8 +194,11 @@ def lyapunov_running(
             ct, st = cos(theta), sin(theta)
             xt = xr * ct - y * st
             yt = xr * st + y * ct
-            wx = dxr * ct - vy * st + kappa0 * dzr * (-xr * st - y * ct)
-            wy = dxr * st + vy * ct + kappa0 * dzr * (xr * ct - y * st)
+            # the twist column of the Jacobian is kappa0 * (-yt, xt); negation
+            # and rounding commute, so this is tangent_step's arithmetic bit for bit
+            kd = kappa0 * dzr
+            wx = dxr * ct - vy * st - kd * yt
+            wy = dxr * st + vy * ct + kd * xt
             wz = dzr
             norm = sqrt(xt * xt + yt * yt + zr * zr)
             x, y, z = xt / norm, yt / norm, zr / norm

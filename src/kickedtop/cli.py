@@ -1,10 +1,13 @@
 """Command-line front end emitting CSV for every figure-class output.
 
 Every command computes all of its values first and then writes a header
-row plus one line per data row through a single writer, _emit.  The
-writer builds one line template per output from the first row: '{:d}'
-for integer columns, '{:.12g}' (12 significant digits) for every other
-column, '\\n' line endings, so identical invocations are byte-identical.
+row plus one line per data row through a single writer, _emit.  Rows
+come in blocks that share their leading columns (one block per kappa0
+and seed of lyapunov, per N of dicke, one block elsewhere).  Each value
+is written by the printf code '%d' when it is an integer, '%.12g' (12
+significant digits) otherwise, with '\\n' line endings, so identical
+invocations are byte-identical.  A block's shared leading values are
+formatted once, into its line template, and each row is one '%' call.
 Output goes to stdout, or atomically to --out (temp file in the target
 directory, then rename).
 
@@ -50,27 +53,41 @@ MAX_STEPS = 10**7
 LYAPUNOV_START = (math.sin(2.25), 0.0, math.cos(2.25))
 
 
-def _emit(header: list[str], rows: Iterable[tuple], out_path: str | None) -> None:
-    """Write the CSV through one line template, one format call per row.
+def _code(value) -> str:
+    return "%d" if isinstance(value, (int, np.integer)) else "%.12g"
 
-    The template comes from the first row: '{:d}' for an integer column
-    (int or np.integer), '{:.12g}' for any other, so every row must have
-    the first row's column types.  rows may be lazy, but only over values
-    the caller has already computed, so nothing is written unless every
-    row is complete.
+
+def _emit(
+    header: list[str], blocks: Iterable[tuple[tuple, Iterable[tuple]]], out_path: str | None
+) -> None:
+    """Write the CSV from (lead, rows) blocks, one format call per row.
+
+    lead holds the leading column values shared by every row of its
+    block and rows the tuples of the remaining columns.  Every value is
+    written by its printf code, '%d' for an int or np.integer and
+    '%.12g' for any other.  The codes of the row columns come from the
+    first row of the first non-empty block, so every row must have its
+    column types; a block with no rows writes nothing.  rows may be
+    lazy, but only over values the caller has already computed, so
+    nothing is written unless every row is complete.
     """
-    rows = iter(rows)
-    first = next(rows, None)
-    lines = []
-    if first is not None:
-        template = ",".join(
-            "{:d}" if isinstance(v, (int, np.integer)) else "{:.12g}" for v in first
-        ) + "\n"
-        lines = itertools.starmap(template.format, itertools.chain([first], rows))
 
     def write(f) -> None:
         f.write(",".join(header) + "\n")
-        f.writelines(lines)
+        codes = None
+        for lead, rows in blocks:
+            rows = iter(rows)
+            first = next(rows, None)
+            if first is None:
+                continue
+            if codes is None:
+                codes = [_code(v) for v in first]
+            # The lead is formatted once per block into the template.  Its
+            # text is digits, sign, '.', 'e', 'inf' or 'nan', never a '%',
+            # so it needs no escaping.
+            template = ",".join([_code(v) % v for v in lead] + codes) + "\n"
+            f.write(template % first)
+            f.writelines(map(template.__mod__, rows))
 
     if out_path is None:
         write(sys.stdout)
@@ -170,20 +187,21 @@ def cmd_dicke(args) -> None:
             raise DomainError(f"M bounds must be finite, got {bound}")
     lo = -math.inf if args.M_min is None else args.M_min - 1e-12
     hi = math.inf if args.M_max is None else args.M_max + 1e-12
-    tables = []
+    blocks = []
     for n_qubits in _qubit_counts(args.N, 2):
         levels = [n for n in range(n_qubits + 1) if lo <= n - n_qubits / 2 <= hi]
         ms = [n - n_qubits / 2 for n in levels]
         closed = [dicke_concurrence_closed(n_qubits, m) for m in ms]
-        numeric = _pair_wootters((number_state(n_qubits, n) for n in levels), n_qubits)
-        tables.append(zip(itertools.repeat(n_qubits), ms, closed, [c for c, _ in numeric]))
-    _emit(["N", "M", "C_closed", "C_numeric"], itertools.chain(*tables), args.out)
+        states = (number_state(n_qubits, n) for n in levels)
+        numeric = [c for c, _ in _pair_wootters(states, n_qubits)]
+        blocks.append(((n_qubits,), zip(ms, closed, numeric)))
+    _emit(["N", "M", "C_closed", "C_numeric"], blocks, args.out)
 
 
 def cmd_epr(args) -> None:
     counts = _qubit_counts(args.N, 1)
     concurrence = wootters(epr_reduce(counts)).concurrence if counts else []
-    _emit(["N", "C"], zip(counts, concurrence), args.out)
+    _emit(["N", "C"], [((), zip(counts, concurrence))], args.out)
 
 
 def cmd_coherent(args) -> None:
@@ -194,7 +212,7 @@ def cmd_coherent(args) -> None:
     etas = sorted(_float_list(args.eta))
     results = _pair_wootters((spin_coherent(n_qubits, eta) for eta in etas), n_qubits)
     c_lambdas = [c_lambda for _, c_lambda in results]
-    _emit(["eta", "c_lambda"], zip(etas, c_lambdas), args.out)
+    _emit(["eta", "c_lambda"], [((), zip(etas, c_lambdas))], args.out)
 
 
 def cmd_qkt_series(args) -> None:
@@ -206,9 +224,9 @@ def cmd_qkt_series(args) -> None:
     kicks = range(1, args.n_max + 1)
     if q.two_j == 3:
         analytic = analytic_concurrence_series(args.n_max, kappa0)
-        _emit(["n", "C", "C_analytic"], zip(kicks, series.concurrence, analytic), args.out)
+        _emit(["n", "C", "C_analytic"], [((), zip(kicks, series.concurrence, analytic))], args.out)
     else:
-        _emit(["n", "C"], zip(kicks, series.concurrence), args.out)
+        _emit(["n", "C"], [((), zip(kicks, series.concurrence))], args.out)
 
 
 def cmd_qkt_sweep(args) -> None:
@@ -218,33 +236,33 @@ def cmd_qkt_sweep(args) -> None:
         grid = list(np.linspace(0.0, math.pi * q.j, SWEEP_GRID_POINTS))
     else:
         grid = _resolve_kappa0(args.kappa0, args.kappa)
+    _check_size(len(grid) * args.n_max, MAX_STEPS, "kicks over the kappa0 grid")
     sweep = concurrence_sweep(q, sorted(grid), args.theta0, args.phi0, args.n_max)
     averages = [time_average(s, args.burn_in) for s in sweep]
-    _emit(["kappa0", "C_timeavg"], zip((s.params.kappa0 for s in sweep), averages), args.out)
+    kappa0s = [s.params.kappa0 for s in sweep]
+    _emit(["kappa0", "C_timeavg"], [((), zip(kappa0s, averages))], args.out)
 
 
 def cmd_analytic3(args) -> None:
     _check_size(args.n_max, MAX_STEPS, "kicks")
     kappa0 = _resolve_kappa0_single(args.kappa0, args.kappa)
     values = analytic_concurrence_series(args.n_max, kappa0)
-    _emit(["n", "C_analytic"], zip(range(1, args.n_max + 1), values), args.out)
+    _emit(["n", "C_analytic"], [((), zip(range(1, args.n_max + 1), values))], args.out)
 
 
 def cmd_lyapunov(args) -> None:
     _check_size(args.steps, MAX_STEPS, "steps")
     grid = sorted(_resolve_kappa0(args.kappa0, args.kappa))
     seeds = sorted(_int_list(args.seeds))
+    # every run's list is held until the write, so the cap is on their total
+    _check_size(len(grid) * len(seeds) * args.steps, MAX_STEPS, "steps over all runs")
     runs = [
-        (kappa0, seed, lyapunov_running(kappa0, math.pi / 2.0, LYAPUNOV_START, args.steps, seed=seed))
+        ((kappa0, seed), lyapunov_running(kappa0, math.pi / 2.0, LYAPUNOV_START, args.steps, seed=seed))
         for kappa0 in grid
         for seed in seeds
     ]
-    rows = (
-        (kappa0, seed, n, lam)
-        for kappa0, seed, running in runs
-        for n, lam in enumerate(running, start=1)
-    )
-    _emit(["kappa0", "seed", "n", "lambda_running"], rows, args.out)
+    blocks = [(lead, enumerate(running, 1)) for lead, running in runs]
+    _emit(["kappa0", "seed", "n", "lambda_running"], blocks, args.out)
 
 
 def _add_kappa_flags(p: argparse.ArgumentParser, as_list: bool) -> None:

@@ -131,23 +131,29 @@ def test_lyapunov_running_is_consistent_with_the_final_estimate():
     assert np.all(np.isfinite(increments))
 
 
-def test_inlined_loop_equals_public_map_and_tangent():
+@pytest.mark.parametrize(
+    "kappa0, p",
+    [(2.7, HALF_PI), (6.3, HALF_PI), (1.1, 0.37), (5.8, 2.9), (0.0, HALF_PI)],
+    ids=["2.7-half_pi", "6.3-half_pi", "1.1-0.37", "5.8-2.9", "0-half_pi"],
+)
+def test_inlined_loop_equals_public_map_and_tangent(kappa0, p):
     # lyapunov_running inlines the map and Jacobian for speed; hold the
-    # inlined arithmetic to the composable public functions, step by step
-    kappa0, steps = 2.7, 1000
-    running = lyapunov_running(kappa0, HALF_PI, START, steps, transient=0, seed=3)
+    # inlined arithmetic to the composable public functions, step by step,
+    # bit for bit
+    steps = 1000
+    running = lyapunov_running(kappa0, p, START, steps, transient=0, seed=3)
     pt = START
     v = _seed_tangent(*START, seed=3)
     acc = 0.0
     manual = []
     for _ in range(steps):
-        w = tangent_step(pt, v, kappa0, HALF_PI)
-        pt = classical_map(pt, kappa0, HALF_PI).as_tuple()
+        w = tangent_step(pt, v, kappa0, p)
+        pt = classical_map(pt, kappa0, p).as_tuple()
         wnorm = math.sqrt(sum(c * c for c in w))
         v = tuple(c / wnorm for c in w)
         acc += math.log(wnorm)
         manual.append(acc / (len(manual) + 1))
-    np.testing.assert_allclose(running, manual, atol=1e-12)
+    assert running == manual
 
 
 def test_median_lyapunov_ordering_over_sphere_points():

@@ -153,6 +153,9 @@ def test_sizes_above_the_cap_exit_two_before_allocating(capsys, argv):
         ("qkt-sweep", "--j", "1.5", "--n-max", "10000001"),
         ("analytic3", "--kappa0", "1", "--n-max", "10000000000000"),
         ("lyapunov", "--kappa0", "1", "--steps", "10000001"),
+        # the caps on the totals: kappa0 count x seed count x steps, kappa0 count x kicks
+        ("lyapunov", "--kappa0", "1,2", "--steps", "5000001"),
+        ("qkt-sweep", "--j", "1.5", "--n-max", "400001"),
     ],
 )
 def test_counts_above_the_step_cap_exit_two_before_allocating(capsys, argv):
@@ -402,13 +405,24 @@ def test_writer_matches_the_per_value_rule(tmp_path, capsys):
     ]
     expected = per_value_csv(header, rows)
     assert expected.splitlines()[1] == "7,-3,0.1,0.666666666667,-0,4.94065645841e-324,1e-300,1e+300,inf,nan"
-    cli._emit(header, iter(rows), None)
-    assert capsys.readouterr().out == expected
+    # a lead is formatted by the same rule, and an empty first block writes nothing
+    lead = (np.int64(5), -0.0)
+    with_lead = per_value_csv(["k", "z"] + header, [lead + row for row in rows])
+    assert with_lead.splitlines()[1].startswith("5,-0,7,-3,0.1,")
+    header_only = "i,j,a,b,c,d,e,f,g,h\n"
+    cases = [
+        (header, [((), rows)], expected),
+        (["k", "z"] + header, [(lead, []), (lead, rows)], with_lead),
+        (header, [], header_only),
+        (header, [((), []), ((), [])], header_only),
+    ]
     target = tmp_path / "rows.csv"
-    cli._emit(header, iter(rows), str(target))
-    assert target.read_bytes() == expected.encode()
-    cli._emit(header, iter([]), None)
-    assert capsys.readouterr().out == "i,j,a,b,c,d,e,f,g,h\n"
+    for case_header, blocks, text in cases:
+        cli._emit(case_header, ((b_lead, iter(b_rows)) for b_lead, b_rows in blocks), None)
+        assert capsys.readouterr().out == text
+        cli._emit(case_header, ((b_lead, iter(b_rows)) for b_lead, b_rows in blocks), str(target))
+        assert target.read_bytes() == text.encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
 
 def expected_lyapunov_csv():
@@ -447,6 +461,35 @@ def test_csv_bytes_match_the_library_values(tmp_path, capsys, argv, expected):
     assert (code, out, err) == (0, "", "")
     assert target.read_bytes() == text.encode()
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_lyapunov_body_is_the_concatenation_of_its_single_runs(capsys):
+    # one block per (kappa0, seed), in sorted order, each with its own lead
+    code, out, err = run_cli(capsys, "lyapunov", "--kappa0", "0,1.2", "--seeds", "0,3", "--steps", "1000")
+    assert (code, err) == (0, "")
+    header, body = out.split("\n", 1)
+    singles = []
+    for kappa0 in ("0", "1.2"):
+        for seed in ("0", "3"):
+            code, single, err = run_cli(
+                capsys, "lyapunov", "--kappa0", kappa0, "--seeds", seed, "--steps", "1000"
+            )
+            assert (code, err) == (0, "")
+            single_header, single_body = single.split("\n", 1)
+            assert single_header == header == "kappa0,seed,n,lambda_running"
+            singles.append(single_body)
+    assert body == "".join(singles)
+    assert body.count("\n") == 4000
+
+
+def test_an_empty_dicke_block_writes_nothing(capsys):
+    # N = 2 has no level with M >= 1.5, so only the N = 6 block is written
+    code, both, err = run_cli(capsys, "dicke", "--N", "2,6", "--M-min", "1.5")
+    assert (code, err) == (0, "")
+    code, alone, err = run_cli(capsys, "dicke", "--N", "6", "--M-min", "1.5")
+    assert (code, err) == (0, "")
+    assert both == alone
+    assert [row[:2] for row in parse(alone)[1]] == [["6", "2"], ["6", "3"]]
 
 
 def test_numerical_failures_map_to_exit_three(monkeypatch, capsys):
