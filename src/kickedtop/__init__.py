@@ -9,10 +9,6 @@ round out the figure-generating surface.
 """
 
 from .errors import DomainError, KickedTopError, NumericalError
-from .numerics import (
-    EigenDecomposition,
-    hermitian_eigen,
-)
 from .spin import (
     SpinQuantum,
     SymmetricState,
@@ -72,7 +68,6 @@ __all__ = [
     "ConcurrenceResult",
     "ConcurrenceSeries",
     "DomainError",
-    "EigenDecomposition",
     "KickedTopError",
     "KickedTopParams",
     "LyapunovEstimate",
@@ -101,7 +96,6 @@ __all__ = [
     "evolve",
     "first_kick_concurrence",
     "floquet",
-    "hermitian_eigen",
     "lyapunov",
     "lyapunov_running",
     "number_state",

@@ -79,10 +79,11 @@ def wootters(rho) -> ConcurrenceResult:
     """Concurrence of an arbitrary two-qubit density matrix, or of a stack.
 
     rho is factored as X X^dagger with X = V sqrt(D) from its Hermitian
-    eigendecomposition (the one TwoQubitDensity.from_matrix already
-    made for its positivity check); eigencomponents with
-    d <= 16*eps*d_max are zeroed (they are roundoff of a rank-deficient
-    rho and contribute nothing but noise).  The lambdas are the
+    eigendecomposition (eigvals and eigvecs, which
+    TwoQubitDensity.from_matrix already made for its positivity check);
+    eigencomponents with d <= 16*eps*d_max are zeroed (they are
+    roundoff of a rank-deficient rho and contribute nothing but
+    noise).  The lambdas are the
     singular values of tau = X^T S X, S = sigma_y x sigma_y.  Since the
     singular values of tau carry absolute errors of order eps*tr(rho),
     lambdas far below the entry scale come out accurate in absolute
@@ -98,9 +99,9 @@ def wootters(rho) -> ConcurrenceResult:
     """
     dm = _density_matrix(rho)
     single = dm.rho.ndim == 2
-    d = dm.eig.values.reshape(-1, 4)
+    d = dm.eigvals.reshape(-1, 4)
     d = np.where(d > 16.0 * _EPS * d.max(axis=-1, keepdims=True), d, 0.0)
-    x = dm.eig.vectors.reshape(-1, 4, 4) * np.sqrt(d)[:, None, :]
+    x = dm.eigvecs.reshape(-1, 4, 4) * np.sqrt(d)[:, None, :]
     try:
         lam = np.linalg.svd(x.swapaxes(-1, -2) @ SPIN_FLIP @ x, compute_uv=False)
     except np.linalg.LinAlgError as exc:

@@ -14,6 +14,8 @@ collective operator is ever formed.  The matrix lives on the basis
 
 with y real for symmetric states (swap symmetry forces it).  A stack of
 T states gives a (T, 4, 4) stack of these matrices in one call.
+TwoQubitDensity.from_matrix validates a stack and makes its one stacked
+eigh, whose eigenvalues and eigenvectors wootters reuses.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .numerics import EigenDecomposition, hermitian_eigen
-from .spin import SymmetricState, _ladder
+from .spin import SymmetricState, _as_int, _ladder
 
 TRACE_TOL = 1e-10
 HERMITIZE_TOL = 1e-10
@@ -62,13 +63,15 @@ class TwoQubitDensity:
     """4x4 two-qubit density matrix with named entry accessors.
 
     rho is one (4, 4) matrix, or a (T, 4, 4) stack whose accessors
-    return (T,) arrays.  eig is the Hermitian eigendecomposition of rho
-    made by the positivity check in from_matrix, kept so that consumers
-    need not repeat it.
+    return (T,) arrays.  eigvals (ascending) and eigvecs (eigvecs[..., :, k]
+    belongs to eigvals[..., k]) are the Hermitian eigendecomposition of
+    rho made by the positivity check in from_matrix, kept so that
+    consumers need not repeat it.
     """
 
     rho: np.ndarray = field(repr=False)
-    eig: EigenDecomposition = field(repr=False, compare=False)
+    eigvals: np.ndarray = field(repr=False, compare=False)
+    eigvecs: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def from_matrix(cls, rho: np.ndarray) -> "TwoQubitDensity":
@@ -77,7 +80,10 @@ class TwoQubitDensity:
         Hermitizes via (rho + rho^dagger)/2 and insists the correction
         is below HERMITIZE_TOL, then checks trace and positivity.  Each
         check runs on every matrix of a (T, 4, 4) stack, and its error
-        names the first failing row.
+        names the first failing row.  The Hermitized matrix equals its
+        conjugate transpose bit for bit (a - b is exactly -(b - a)), and
+        a NaN fails the HERMITIZE_TOL check, so that check is the only
+        Hermiticity check the stack needs before its one eigh call.
         """
         rho = np.asarray(rho, dtype=complex)
         if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4) or rho.size == 0:
@@ -91,13 +97,16 @@ class TwoQubitDensity:
         tr = np.trace(sym, axis1=-2, axis2=-1).real
         _check_rows(np.abs(tr - 1) <= TRACE_TOL, single,
                     lambda i: f"trace = {float(tr[i])!r}, expected 1")
-        eig = hermitian_eigen(sym)
-        lo = eig.values[:, 0]
+        try:
+            values, vectors = np.linalg.eigh(sym)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(str(exc)) from exc
+        lo = values[:, 0]
         _check_rows(lo >= PSD_FLOOR, single,
                     lambda i: f"eigenvalue {lo[i]:.3e} below {PSD_FLOOR:.1e}")
         if single:
-            return cls(rho=sym[0], eig=EigenDecomposition(eig.values[0], eig.vectors[0]))
-        return cls(rho=sym, eig=eig)
+            return cls(rho=sym[0], eigvals=values[0], eigvecs=vectors[0])
+        return cls(rho=sym, eigvals=values, eigvecs=vectors)
 
     def _entry(self, row: int, col: int):
         # [()] turns the 0-d result for one matrix into a scalar.
@@ -208,6 +217,8 @@ def epr_expectations(n_qubits: int) -> tuple[float, float]:
     J1+ J2+ couples (n, n) to (n+1, n+1) with the squared ladder
     coefficient.
     """
+    if _as_int("n_qubits", n_qubits) < 1:
+        raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
     m, c = _ladder(n_qubits)
     dim = n_qubits + 1
     j1z_j2z = float(np.sum(m * m) / dim)
@@ -226,6 +237,8 @@ def epr_reduce(n_qubits: int | Sequence[int]) -> TwoQubitDensity:
     counts = np.atleast_1d(n_qubits)
     if counts.ndim != 1 or counts.size == 0 or (counts < 1).any():
         raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
+    if counts.dtype.kind not in "iu":
+        raise DomainError(f"n_qubits must be integers, got {n_qubits}")
     n2 = counts * counts
     j1z_j2z, j1p_j2p = np.array([epr_expectations(int(n)) for n in counts]).T
     w = 0.25 - j1z_j2z / n2

@@ -21,6 +21,13 @@ from .errors import DomainError
 POLE_SNAP_TOL = 1e-12
 
 
+def _as_int(name: str, value) -> int:
+    """value as an int; DomainError unless it is a Python or numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SpinQuantum:
     """Spin j = two_j/2 realized as N = two_j symmetric qubits."""
@@ -28,7 +35,7 @@ class SpinQuantum:
     two_j: int
 
     def __post_init__(self):
-        if self.two_j < 1:
+        if _as_int("two_j", self.two_j) < 1:
             raise DomainError(f"two_j must be >= 1, got {self.two_j}")
 
     @property
@@ -69,6 +76,8 @@ def _ladder(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 
 def number_state(n_qubits: int, n: int) -> SymmetricState:
     """|n>: exactly n qubits in |0>, an eigenstate of Jz with m = n - N/2."""
+    n_qubits = _as_int("n_qubits", n_qubits)
+    n = _as_int("n", n)
     if not 0 <= n <= n_qubits:
         raise DomainError(f"n = {n} outside 0..{n_qubits}")
     amps = np.zeros(n_qubits + 1, dtype=complex)
@@ -112,7 +121,7 @@ def spin_coherent(n_qubits: int, eta: complex) -> SymmetricState:
     positive.  eta = 0 is the bottom pole |n=0>; |eta| -> infinity
     approaches the top pole.
     """
-    if n_qubits < 1:
+    if _as_int("n_qubits", n_qubits) < 1:
         raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
     if not cmath.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta}")
@@ -128,7 +137,7 @@ def coherent_from_angles(n_qubits: int, theta: float, phi: float) -> SymmetricSt
     POLE_SNAP_TOL) snaps to the exact bottom basis state, where phi no
     longer matters.
     """
-    if n_qubits < 1:
+    if _as_int("n_qubits", n_qubits) < 1:
         raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise DomainError(f"theta and phi must be finite, got ({theta}, {phi})")

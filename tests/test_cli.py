@@ -17,10 +17,12 @@ from kickedtop import (
     KickedTopParams,
     NumericalError,
     SpinQuantum,
+    TwoQubitDensity,
     analytic_concurrence_series,
     concurrence_series,
     dicke_concurrence_closed,
     lyapunov_running,
+    wootters,
 )
 
 
@@ -499,6 +501,21 @@ def test_numerical_failures_map_to_exit_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "analytic_concurrence_series", boom)
     code, _, err = run_cli(capsys, "analytic3", "--kappa0", "1", "--n-max", "4")
     assert code == 3 and err == "numerical failure: deliberate\n"
+
+
+@pytest.mark.parametrize(
+    "solver, call",
+    [("eigh", TwoQubitDensity.from_matrix), ("eigh", wootters), ("svd", wootters)],
+)
+def test_lapack_failures_are_numerical_errors(monkeypatch, capsys, solver, call):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{solver} did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(NumericalError, match=f"^{solver} did not converge$"):
+        call(np.eye(4) / 4)
+    code, out, err = run_cli(capsys, "qkt-series", "--j", "1.5", "--kappa0", "1", "--n-max", "5")
+    assert (code, out, err) == (3, "", f"numerical failure: {solver} did not converge\n")
 
 
 def run_child(*argv):

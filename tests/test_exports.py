@@ -26,7 +26,6 @@ def test_the_public_surface_is_pinned():
         "ConcurrenceResult",
         "ConcurrenceSeries",
         "DomainError",
-        "EigenDecomposition",
         "KickedTopError",
         "KickedTopParams",
         "LyapunovEstimate",
@@ -55,7 +54,6 @@ def test_the_public_surface_is_pinned():
         "evolve",
         "first_kick_concurrence",
         "floquet",
-        "hermitian_eigen",
         "lyapunov",
         "lyapunov_running",
         "number_state",

@@ -123,6 +123,38 @@ def test_from_matrix_validation():
         TwoQubitDensity.from_matrix(np.diag([0.7, 0.5, -0.1, -0.1]))
 
 
+def test_from_matrix_hands_eigh_an_exactly_hermitian_stack(monkeypatch):
+    # from_matrix's HERMITIZE_TOL check is the pair path's only Hermiticity
+    # check, and eigh reads one triangle: so the Hermitized stack must equal
+    # its own conjugate transpose exactly, with a real diagonal.
+    eigh_calls = []
+    eigh = np.linalg.eigh
+
+    def counted_eigh(a):
+        eigh_calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    rng = np.random.default_rng(23)
+    cases = []
+    for t in (1, 7, 64):
+        a = rng.standard_normal((t, 4, 4)) + 1j * rng.standard_normal((t, 4, 4))
+        rho = a @ a.conj().swapaxes(-1, -2)
+        rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+        b = 1e-11 * (rng.standard_normal((t, 4, 4)) + 1j * rng.standard_normal((t, 4, 4)))
+        cases.append((TwoQubitDensity.from_matrix, rho + b - b.conj().swapaxes(-1, -2)))
+    for n_qubits in (3, 30, 200):
+        amps = rng.standard_normal((9, n_qubits + 1)) + 1j * rng.standard_normal((9, n_qubits + 1))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        cases.append((reduce_symmetric, collective_expectations(amps)))
+    for make, arg in cases:
+        eigh_calls.clear()
+        rho = make(arg).rho
+        assert eigh_calls == [rho.shape]
+        assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+        assert (rho.diagonal(axis1=-2, axis2=-1).imag == 0.0).all()
+
+
 def test_from_matrix_named_accessors():
     rho = np.array(
         [

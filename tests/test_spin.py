@@ -10,6 +10,8 @@ from kickedtop import (
     SpinQuantum,
     coherent_from_angles,
     collective_expectations,
+    epr_expectations,
+    epr_reduce,
     number_state,
     spin_coherent,
 )
@@ -24,6 +26,28 @@ def test_spin_quantum_properties_and_validation():
     assert q.dim == 4
     with pytest.raises(DomainError, match=r"^two_j must be >= 1, got 0$"):
         SpinQuantum(0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: SpinQuantum(n).dim,
+        lambda n: number_state(n, 1).amps,
+        lambda n: number_state(4, n).amps,
+        lambda n: spin_coherent(n, 0.8).amps,
+        lambda n: coherent_from_angles(n, 0.7, 0.3).amps,
+        lambda n: epr_expectations(n),
+        lambda n: epr_reduce(n).rho,
+        lambda n: epr_reduce([2, n]).rho,
+    ],
+    ids=["SpinQuantum", "number_state-N", "number_state-n", "spin_coherent",
+         "coherent_from_angles", "epr_expectations", "epr_reduce", "epr_reduce-list"],
+)
+def test_counts_must_be_integers(make):
+    with pytest.raises(DomainError, match=r"must be (an )?integers?, got"):
+        make(2.5)
+    for count in (np.int64(3), np.int32(3)):
+        np.testing.assert_array_equal(make(count), make(3))
 
 
 def test_single_qubit_operators_are_pauli_halves():
