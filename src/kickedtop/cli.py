@@ -7,7 +7,9 @@ and seed of lyapunov, per N of dicke, one block elsewhere).  Each value
 is written by the printf code '%d' when it is an integer, '%.12g' (12
 significant digits) otherwise, with '\\n' line endings, so identical
 invocations are byte-identical.  A block's shared leading values are
-formatted once, into its line template, and each row is one '%' call.
+formatted once, into its line template; after a block's first row the
+rows go CHUNK_ROWS at a time through one '%' on that template repeated
+once per row.
 Output goes to stdout, or atomically to --out (temp file in the target
 directory, then rename).
 
@@ -51,6 +53,9 @@ MAX_QUBITS = 4096
 # Largest --n-max or --steps accepted; nothing in use needs more than 1e5.
 MAX_STEPS = 10**7
 LYAPUNOV_START = (math.sin(2.25), 0.0, math.cos(2.25))
+# Rows formatted and written together by _emit: one '%' call and one write
+# per chunk, so memory stays bounded by a chunk of text.
+CHUNK_ROWS = 1024
 
 
 def _code(value) -> str:
@@ -60,14 +65,17 @@ def _code(value) -> str:
 def _emit(
     header: list[str], blocks: Iterable[tuple[tuple, Iterable[tuple]]], out_path: str | None
 ) -> None:
-    """Write the CSV from (lead, rows) blocks, one format call per row.
+    """Write the CSV from (lead, rows) blocks, one format call per chunk of rows.
 
     lead holds the leading column values shared by every row of its
     block and rows the tuples of the remaining columns.  Every value is
     written by its printf code, '%d' for an int or np.integer and
     '%.12g' for any other.  The codes of the row columns come from the
     first row of the first non-empty block, so every row must have its
-    column types; a block with no rows writes nothing.  rows may be
+    column types and width (a row of another width raises TypeError);
+    a block with no rows writes nothing.  After a block's first row, up
+    to CHUNK_ROWS rows are flattened into one tuple and formatted by one
+    '%' on the block's template repeated once per row.  rows may be
     lazy, but only over values the caller has already computed, so
     nothing is written unless every row is complete.
     """
@@ -87,7 +95,12 @@ def _emit(
             # so it needs no escaping.
             template = ",".join([_code(v) % v for v in lead] + codes) + "\n"
             f.write(template % first)
-            f.writelines(map(template.__mod__, rows))
+            # One flat tuple per chunk shifts a short or long row's values
+            # into its neighbours unnoticed, so every width is checked.
+            while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
+                if set(map(len, chunk)) != {len(codes)}:
+                    raise TypeError(f"every row must have the first row's {len(codes)} columns")
+                f.write(template * len(chunk) % tuple(itertools.chain.from_iterable(chunk)))
 
     if out_path is None:
         write(sys.stdout)

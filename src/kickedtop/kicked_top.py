@@ -71,6 +71,9 @@ class KickedTopParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.kappa0) or self.kappa0 < 0.0:
             raise DomainError(f"kappa0 must be finite and >= 0, got {self.kappa0}")
+        # _torsion forms kappa0 m^2 before it divides by 2j, and m^2 <= j^2
+        if not math.isfinite(self.kappa0 * self.q.j**2):
+            raise DomainError(f"kappa0 * j^2 = {self.kappa0} * {self.q.j**2} overflows the float range")
         if not math.isfinite(self.p):
             raise DomainError(f"p must be finite, got {self.p}")
 

@@ -131,6 +131,23 @@ def test_non_finite_inputs_exit_two(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("qkt-series", "--j", "1.5", "--kappa0", "8e307", "--n-max", "2"),
+        ("qkt-sweep", "--j", "100", "--kappa0", "1,1e306", "--n-max", "5"),
+    ],
+)
+def test_torsion_overflow_exits_two(capsys, argv):
+    # kappa0 is finite but kappa0 j^2, which the torsion phases form, is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: kappa0 * j^2 = ") and err.endswith(" overflows the float range\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("qkt-series", "--j", "2048.5", "--kappa0", "1", "--n-max", "3"),
         ("qkt-sweep", "--j", "1e6", "--n-max", "3"),
         ("dicke", "--N", "4,4097"),
@@ -427,34 +444,82 @@ def test_writer_matches_the_per_value_rule(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
 
-def expected_lyapunov_csv():
+def test_writer_chunk_boundaries_keep_the_per_value_bytes(tmp_path, capsys, monkeypatch):
+    # with 3-row chunks, blocks of 0..7 rows end before, on and past a chunk boundary
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 3)
+    sizes = (0, 1, 2, 3, 4, 7)
+
+    def rows(size):
+        return [(n, n / 7.0) for n in range(1, size + 1)]
+
+    cases = [(["n", "x"], [((), rows(size))]) for size in sizes]
+    cases.append((["k", "s", "n", "x"], [((size / 3.0, np.int64(size)), rows(size)) for size in sizes]))
+    cases.append((["k", "s", "n", "x"], [((size / 3.0, np.int64(size)), rows(size)) for size in sizes[::-1]]))
+    target = tmp_path / "rows.csv"
+    for header, blocks in cases:
+        text = per_value_csv(header, [lead + row for lead, block_rows in blocks for row in block_rows])
+        cli._emit(header, ((lead, iter(block_rows)) for lead, block_rows in blocks), None)
+        assert capsys.readouterr().out == text
+        cli._emit(header, ((lead, iter(block_rows)) for lead, block_rows in blocks), str(target))
+        assert target.read_bytes() == text.encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        # widths 2, 3, 1, 2: the chunk after the first row holds 3 rows of 6
+        # values, which a template of 3 two-column lines would take shifted
+        [((), [(1, 0.5), (2, 0.25, 9.0), (3,), (4, 0.125)])],
+        [((), [(1, 0.5)] * 5 + [(6, 0.5, 7.0)])],
+        [((), [(1, 0.5)]), ((), [(1, 0.5, 2.0)])],
+    ],
+    ids=["within-a-chunk", "in-a-partial-chunk", "first-row-of-a-later-block"],
+)
+def test_writer_rejects_a_row_of_another_width(tmp_path, capsys, monkeypatch, blocks):
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 3)
+    with pytest.raises(TypeError):
+        cli._emit(["n", "x"], blocks, None)
+    capsys.readouterr()
+    with pytest.raises(TypeError):
+        cli._emit(["n", "x"], blocks, str(tmp_path / "rows.csv"))
+    assert list(tmp_path.iterdir()) == []  # no target and no .tmp-* file
+
+
+def expected_lyapunov_csv(steps):
     start = (math.sin(2.25), 0.0, math.cos(2.25))
     rows = [
         (kappa0, seed, n, lam)
         for kappa0 in (0.0, 1.2)
         for seed in (0, 3)
-        for n, lam in enumerate(lyapunov_running(kappa0, math.pi / 2, start, 1000, seed=seed), 1)
+        for n, lam in enumerate(lyapunov_running(kappa0, math.pi / 2, start, steps, seed=seed), 1)
     ]
     return per_value_csv(["kappa0", "seed", "n", "lambda_running"], rows)
 
 
-def expected_qkt_series_csv():
-    series = concurrence_series(KickedTopParams(SpinQuantum(3), 2.1), 0.0, 0.0, 50)
-    analytic = analytic_concurrence_series(50, 2.1)
+def expected_qkt_series_csv(kappa0, n_max):
+    series = concurrence_series(KickedTopParams(SpinQuantum(3), kappa0), 0.0, 0.0, n_max)
+    analytic = analytic_concurrence_series(n_max, kappa0)
     rows = [(n, c, analytic[n - 1]) for n, c in series.entries]
     return per_value_csv(["n", "C", "C_analytic"], rows)
 
 
+# 1000 steps fill less than one writer chunk after each block's first row,
+# 3000 steps two full chunks and a partial one
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (("lyapunov", "--kappa0", "0,1.2", "--seeds", "0,3", "--steps", "1000"), expected_lyapunov_csv),
-        (("qkt-series", "--j", "1.5", "--kappa0", "2.1", "--n-max", "50"), expected_qkt_series_csv),
+        (("lyapunov", "--kappa0", "0,1.2", "--seeds", "0,3", "--steps", "1000"), (expected_lyapunov_csv, 1000)),
+        (("lyapunov", "--kappa0", "0,1.2", "--seeds", "0,3", "--steps", "3000"), (expected_lyapunov_csv, 3000)),
+        (("qkt-series", "--j", "1.5", "--kappa0", "2.1", "--n-max", "50"), (expected_qkt_series_csv, 2.1, 50)),
+        # kappa0 j^2 = 1.78e308, just below the float range
+        (("qkt-series", "--j", "1.5", "--kappa0", "7.9e307", "--n-max", "2"), (expected_qkt_series_csv, 7.9e307, 2)),
     ],
-    ids=["lyapunov", "qkt-series"],
+    ids=["lyapunov", "lyapunov-chunks", "qkt-series", "qkt-series-edge-of-range"],
 )
 def test_csv_bytes_match_the_library_values(tmp_path, capsys, argv, expected):
-    text = expected()
+    build, *args = expected
+    text = build(*args)
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert out == text

@@ -34,6 +34,19 @@ def test_params_validation():
         KickedTopParams(q, 1.0, p=math.inf)
 
 
+@pytest.mark.parametrize("two_j, kappa0", [(3, 8e307), (200, 1e305)])
+def test_torsion_overflow_is_a_domain_error(two_j, kappa0):
+    # kappa0 is finite, but kappa0 j^2, which _torsion forms, is not
+    with pytest.raises(DomainError, match=r"^kappa0 \* j\^2 = .* overflows the float range$"):
+        floquet(KickedTopParams(SpinQuantum(two_j), kappa0))
+
+
+def test_torsion_just_inside_the_float_range_is_unitary():
+    # kappa0 j^2 = 1.78e308 is finite, and so is every torsion phase
+    u = floquet(KickedTopParams(SpinQuantum(3), 7.9e307))
+    assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12
+
+
 def test_floquet_is_unitary_across_spin_sizes():
     for two_j in (1, 2, 3, 7, 20, 50):
         u = floquet(KickedTopParams(SpinQuantum(two_j), 2.7))
