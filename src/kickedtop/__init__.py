@@ -11,7 +11,6 @@ round out the figure-generating surface.
 from .errors import DomainError, KickedTopError, NumericalError
 from .spin import (
     SpinQuantum,
-    SymmetricState,
     coherent_from_angles,
     number_state,
     spin_coherent,
@@ -55,7 +54,6 @@ from .analytic3 import (
 )
 from .classical import (
     LyapunovEstimate,
-    SpherePoint,
     classical_map,
     lyapunov,
     lyapunov_running,
@@ -73,9 +71,7 @@ __all__ = [
     "LyapunovEstimate",
     "NumericalError",
     "ParityBasis",
-    "SpherePoint",
     "SpinQuantum",
-    "SymmetricState",
     "TwoQubitDensity",
     "analytic_concurrence",
     "analytic_concurrence_series",

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NumericalError
+from .spin import _as_int
 
 SPHERE_TOL = 1e-9
 TANGENT_TOL = 1e-9
@@ -31,16 +32,6 @@ Vec3 = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
-class SpherePoint:
-    x: float
-    y: float
-    z: float
-
-    def as_tuple(self) -> Vec3:
-        return (self.x, self.y, self.z)
-
-
-@dataclass(frozen=True)
 class LyapunovEstimate:
     """Per-kick exponent, with the step counts that produced it."""
 
@@ -49,22 +40,23 @@ class LyapunovEstimate:
     transient: int
 
 
-def _coerce_point(pt) -> Vec3:
-    if isinstance(pt, SpherePoint):
-        return pt.as_tuple()
-    x, y, z = pt
-    return (float(x), float(y), float(z))
-
-
-def _check_on_sphere(x: float, y: float, z: float) -> None:
-    if abs(x * x + y * y + z * z - 1.0) > SPHERE_TOL:
+def _sphere_point(pt) -> Vec3:
+    """pt as three floats; DomainError unless it is on the unit sphere (a NaN is not)."""
+    x, y, z = (float(c) for c in pt)
+    if not abs(x * x + y * y + z * z - 1.0) <= SPHERE_TOL:
         raise DomainError(f"|pt|^2 = {x * x + y * y + z * z} is not 1")
+    return x, y, z
 
 
-def classical_map(pt, kappa0: float, p: float) -> SpherePoint:
+def _check_params(kappa0: float, p: float) -> None:
+    if not (math.isfinite(kappa0) and kappa0 >= 0.0 and math.isfinite(p)):
+        raise DomainError(f"kappa0 must be finite and >= 0 and p finite, got ({kappa0}, {p})")
+
+
+def classical_map(pt, kappa0: float, p: float) -> Vec3:
     """One kicked-top period applied to a point on the unit sphere."""
-    x, y, z = _coerce_point(pt)
-    _check_on_sphere(x, y, z)
+    _check_params(kappa0, p)
+    x, y, z = _sphere_point(pt)
     cp, sp = math.cos(p), math.sin(p)
     xr = x * cp + z * sp
     zr = z * cp - x * sp
@@ -73,7 +65,7 @@ def classical_map(pt, kappa0: float, p: float) -> SpherePoint:
     xt = xr * ct - y * st
     yt = xr * st + y * ct
     norm = math.sqrt(xt * xt + yt * yt + zr * zr)
-    return SpherePoint(xt / norm, yt / norm, zr / norm)
+    return (xt / norm, yt / norm, zr / norm)
 
 
 def tangent_step(pt, v, kappa0: float, p: float) -> Vec3:
@@ -85,12 +77,13 @@ def tangent_step(pt, v, kappa0: float, p: float) -> Vec3:
     which removes the roundoff-sized normal component the chain rule
     leaves behind.
     """
-    x, y, z = _coerce_point(pt)
-    _check_on_sphere(x, y, z)
+    _check_params(kappa0, p)
+    x, y, z = _sphere_point(pt)
     vx, vy, vz = (float(c) for c in v)
     vnorm = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if abs(vx * x + vy * y + vz * z) > TANGENT_TOL * max(1.0, vnorm):
-        raise DomainError(f"v . pt = {vx * x + vy * y + vz * z:.3e} is not 0")
+    dot = vx * x + vy * y + vz * z
+    if not (math.isfinite(vnorm) and abs(dot) <= TANGENT_TOL * max(1.0, vnorm)):
+        raise DomainError(f"v . pt = {dot:.3e} is not 0")
 
     cp, sp = math.cos(p), math.sin(p)
     xr = x * cp + z * sp
@@ -167,14 +160,12 @@ def lyapunov_running(
     Raises NumericalError when the tangent norm leaves the float range,
     which happens for kappa0 beyond about 1e154.
     """
-    if steps < 1000:
+    if _as_int("steps", steps) < 1000:
         raise DomainError(f"steps must be >= 1000, got {steps}")
-    if not (math.isfinite(kappa0) and kappa0 >= 0.0 and math.isfinite(p)):
-        raise DomainError(f"kappa0 must be finite and >= 0 and p finite, got ({kappa0}, {p})")
-    if transient < 0 or transient >= steps:
+    _check_params(kappa0, p)
+    if not 0 <= _as_int("transient", transient) < steps:
         raise DomainError(f"need 0 <= transient < steps, got transient={transient}")
-    x, y, z = _coerce_point(pt0)
-    _check_on_sphere(x, y, z)
+    x, y, z = _sphere_point(pt0)
     vx, vy, vz = _seed_tangent(x, y, z, seed)
 
     cp, sp = math.cos(p), math.sin(p)

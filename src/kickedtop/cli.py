@@ -44,7 +44,7 @@ from .kicked_top import (
     time_average,
 )
 from .pairwise import collective_expectations, epr_reduce, reduce_symmetric
-from .spin import SpinQuantum, SymmetricState, number_state, spin_coherent
+from .spin import SpinQuantum, number_state, spin_coherent
 
 SWEEP_GRID_POINTS = 25
 # Largest 2j or N accepted: at 2j = 4096 building the dense rotation takes
@@ -179,7 +179,7 @@ def _resolve_kappa0_single(kappa0: str | None, kappa: str | None) -> float:
 
 
 def _pair_wootters(
-    states: Iterable[SymmetricState], n_qubits: int
+    states: Iterable[np.ndarray], n_qubits: int
 ) -> Iterator[tuple[float, float]]:
     """(concurrence, c_lambda) of the pair reduction of each N-qubit state, in order.
 
@@ -189,7 +189,7 @@ def _pair_wootters(
     """
     per_block = max(1, KICK_BLOCK_AMPLITUDES // (n_qubits + 1))
     states = iter(states)
-    while block := [state.amps for state in itertools.islice(states, per_block)]:
+    while block := list(itertools.islice(states, per_block)):
         result = wootters(reduce_symmetric(collective_expectations(np.stack(block))))
         yield from zip(result.concurrence, result.c_lambda)
 

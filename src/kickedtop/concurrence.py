@@ -173,6 +173,8 @@ def dicke_concurrence_closed(n_qubits: int, m: float) -> float:
     """
     if n_qubits < 2:
         raise DomainError(f"need at least 2 qubits, got {n_qubits}")
+    if not math.isfinite(m):
+        raise DomainError(f"M must be finite, got {m}")
     two_m = 2.0 * m
     two_m_int = round(two_m)
     if abs(two_m - two_m_int) > 1e-9:

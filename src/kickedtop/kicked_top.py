@@ -35,7 +35,7 @@ import numpy as np
 from .concurrence import wootters
 from .errors import DomainError
 from .pairwise import collective_expectations, reduce_symmetric
-from .spin import SpinQuantum, SymmetricState, _ladder, coherent_from_angles
+from .spin import SpinQuantum, _as_int, _ladder, coherent_from_angles
 
 DEFAULT_PRECESSION = math.pi / 2.0
 
@@ -152,19 +152,19 @@ def floquet(params: KickedTopParams) -> np.ndarray:
     return _torsion(params.q, [params.kappa0]) * _rotation(params.q, params.p)
 
 
-def evolve(state: SymmetricState, u: np.ndarray, n: int) -> SymmetricState:
-    """Apply the one-period unitary n times."""
-    if n < 0:
+def evolve(state: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+    """Apply the one-period unitary n times to a state's amplitudes."""
+    if _as_int("n", n) < 0:
         raise DomainError(f"kick count must be >= 0, got {n}")
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DomainError(f"operator shape {u.shape} is not square")
-    amps = np.asarray(state.amps, dtype=complex)
+    amps = np.asarray(state, dtype=complex)
     if u.shape[0] != amps.shape[0]:
         raise DomainError(f"operator dim {u.shape[0]} does not match state dim {amps.shape[0]}")
     for _ in range(n):
         amps = u @ amps
-    return SymmetricState(amps)
+    return amps
 
 
 def concurrence_sweep(
@@ -188,9 +188,9 @@ def concurrence_sweep(
         raise DomainError("need at least one kappa0")
     if q.n_qubits < 2:
         raise DomainError(f"need at least 2 qubits for pairwise concurrence, got {q.n_qubits}")
-    if n_max < 1:
+    if _as_int("n_max", n_max) < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    start = coherent_from_angles(q.n_qubits, theta0, phi0).amps
+    start = coherent_from_angles(q.n_qubits, theta0, phi0)
     # complex once here, so each kick is one complex GEMM and not a
     # real-by-complex product that casts the rotation on every call
     rotation = _rotation(q, p).astype(complex)
@@ -223,7 +223,7 @@ def concurrence_series(
 
 def time_average(series: ConcurrenceSeries, burn_in: int) -> float:
     """Mean concurrence over entries with kick index n > burn_in."""
-    if burn_in < 0:
+    if _as_int("burn_in", burn_in) < 0:
         raise DomainError(f"burn_in must be >= 0, got {burn_in}")
     tail = series.concurrence[burn_in:]
     if tail.size == 0:

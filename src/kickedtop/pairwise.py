@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .spin import SymmetricState, _as_int, _ladder
+from .spin import _as_int, _ladder
 
 TRACE_TOL = 1e-10
 HERMITIZE_TOL = 1e-10
@@ -141,11 +141,11 @@ class TwoQubitDensity:
         return self._entry(3, 1)
 
 
-def collective_expectations(state: SymmetricState | np.ndarray) -> CollectiveExpectations:
+def collective_expectations(state: np.ndarray) -> CollectiveExpectations:
     """Collective moments <Sz>, <Sz^2>, <S+>, <S+^2>, <[S+, Sz]_+>.
 
-    state is one SymmetricState (the moments are numbers) or a (T, N+1)
-    stack of amplitude rows (the moments are (T,) arrays).  Each moment
+    state is one state's N+1 amplitudes (the moments are numbers) or a
+    (T, N+1) stack of amplitude rows (the moments are (T,) arrays).  Each moment
     is an O(N) sum along the ladder, read straight from the amplitudes
     a_n with m_n = n - N/2 and c_n = <n+1|S+|n>:
 
@@ -158,7 +158,7 @@ def collective_expectations(state: SymmetricState | np.ndarray) -> CollectiveExp
     same moments as that state alone.  <Sx^2 + Sy^2> comes from
     j(j+1) - <Sz^2>, exact on the symmetric subspace.
     """
-    amps = np.asarray(state.amps if isinstance(state, SymmetricState) else state, dtype=complex)
+    amps = np.asarray(state, dtype=complex)
     if amps.ndim not in (1, 2):
         raise DomainError(f"expected amplitudes or a stack of them, got shape {amps.shape}")
     a = np.atleast_2d(amps)

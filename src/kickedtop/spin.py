@@ -1,16 +1,17 @@
 """Spin sizes and reference states on the symmetric subspace.
 
 Basis convention used by the whole package: a symmetric N-qubit state
-is a vector over |n>, n = 0..N, where n counts the qubits in |0> and
-the Jz eigenvalue is m = n - N/2.  So |n=0> is the all-|1> state at
-the bottom of the ladder and |n=N> = |00...0> is the top.
+is its 1-D complex array of amplitudes over |n>, n = 0..N, where n
+counts the qubits in |0> and the Jz eigenvalue is m = n - N/2.  So
+|n=0> is the all-|1> state at the bottom of the ladder and |n=N> =
+|00...0> is the top.  A stack of T states is a (T, N+1) array.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,17 +52,6 @@ class SpinQuantum:
         return self.two_j + 1
 
 
-@dataclass(frozen=True)
-class SymmetricState:
-    """Normalized amplitudes over |n>, n ascending from 0 to N."""
-
-    amps: np.ndarray = field(repr=False)
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.amps) - 1
-
-
 def _ladder(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """m_n = n - N/2 for n = 0..N, and c_n = <n+1|J+|n> for n = 0..N-1.
 
@@ -74,7 +64,7 @@ def _ladder(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return m, c
 
 
-def number_state(n_qubits: int, n: int) -> SymmetricState:
+def number_state(n_qubits: int, n: int) -> np.ndarray:
     """|n>: exactly n qubits in |0>, an eigenstate of Jz with m = n - N/2."""
     n_qubits = _as_int("n_qubits", n_qubits)
     n = _as_int("n", n)
@@ -82,10 +72,10 @@ def number_state(n_qubits: int, n: int) -> SymmetricState:
         raise DomainError(f"n = {n} outside 0..{n_qubits}")
     amps = np.zeros(n_qubits + 1, dtype=complex)
     amps[n] = 1.0
-    return SymmetricState(amps=amps)
+    return amps
 
 
-def _product_state(n_qubits: int, up: complex, down: complex) -> SymmetricState:
+def _product_state(n_qubits: int, up: complex, down: complex) -> np.ndarray:
     """N copies of the qubit up|0> + down|1>, as amplitudes over |n>.
 
     amps[n] is proportional to binom(N,n)^(1/2) up^n down^(N-n).  The
@@ -110,10 +100,10 @@ def _product_state(n_qubits: int, up: complex, down: complex) -> SymmetricState:
     mag /= np.linalg.norm(mag)
     n0 = np.flatnonzero(mag)[0]
     alpha = cmath.phase(up) - cmath.phase(down)
-    return SymmetricState(amps=mag * np.exp(1j * alpha * (ns - n0)))
+    return mag * np.exp(1j * alpha * (ns - n0))
 
 
-def spin_coherent(n_qubits: int, eta: complex) -> SymmetricState:
+def spin_coherent(n_qubits: int, eta: complex) -> np.ndarray:
     """Product state of N identical qubits, amplitudes binomial in eta.
 
     amps[n] = (1+|eta|^2)^(-N/2) * binom(N,n)^(1/2) * eta^n, up to the
@@ -128,7 +118,7 @@ def spin_coherent(n_qubits: int, eta: complex) -> SymmetricState:
     return _product_state(n_qubits, complex(eta), 1.0)
 
 
-def coherent_from_angles(n_qubits: int, theta: float, phi: float) -> SymmetricState:
+def coherent_from_angles(n_qubits: int, theta: float, phi: float) -> np.ndarray:
     """Coherent state pointed along (sin(theta)cos(phi), sin(theta)sin(phi), cos(theta)).
 
     Every qubit is cos(theta/2)|0> + e^(i phi) sin(theta/2)|1>, with the

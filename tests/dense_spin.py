@@ -38,8 +38,7 @@ def collective_operators(q: SpinQuantum) -> DenseOps:
     )
 
 
-def jvec(state) -> np.ndarray:
-    """(<Jx>, <Jy>, <Jz>) of a SymmetricState, from the dense operators."""
-    ops = collective_operators(SpinQuantum(state.n_qubits))
-    psi = state.amps
+def jvec(psi) -> np.ndarray:
+    """(<Jx>, <Jy>, <Jz>) of a state's amplitudes, from the dense operators."""
+    ops = collective_operators(SpinQuantum(len(psi) - 1))
     return np.array([np.vdot(psi, op @ psi).real for op in (ops.jx, ops.jy, ops.jz)])

@@ -214,11 +214,11 @@ def tangent_step_fd(classical_map, pt, v, kappa0: float, p: float, eps: float = 
         q = x + sign * eps * v
         q = q / np.linalg.norm(q)
         img = classical_map(tuple(q), kappa0, p)
-        return np.array([img.x, img.y, img.z])
+        return np.array(img)
 
     w = (at(+1.0) - at(-1.0)) / (2.0 * eps)
     img0 = classical_map(tuple(x), kappa0, p)
-    n0 = np.array([img0.x, img0.y, img0.z])
+    n0 = np.array(img0)
     w = w - np.dot(w, n0) * n0
     return tuple(float(c) for c in w)
 

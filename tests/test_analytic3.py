@@ -107,6 +107,8 @@ def test_chebyshev_step_anchors():
     assert math.cos(st1.gamma) == pytest.approx(st1.chi, abs=1e-12)
     with pytest.raises(DomainError):
         chebyshev_step(-1, 1.0)
+    with pytest.raises(DomainError, match=r"^kappa0 must be finite and >= 0, got inf$"):
+        chebyshev_step(3, math.inf)
 
 
 def test_chebyshev_recurrence_matches_trigonometric_form():
@@ -163,6 +165,8 @@ def test_rho12_analytic_rejects_odd_or_small_n():
         rho12_analytic(3, 1.0)
     with pytest.raises(DomainError):
         rho12_analytic(0, 1.0)
+    with pytest.raises(DomainError, match=r"^kappa0 must be finite and >= 0, got inf$"):
+        rho12_analytic(2, math.inf)
 
 
 def test_analytic_concurrence_values_and_parity():

@@ -8,7 +8,6 @@ import pytest
 from kickedtop import (
     DomainError,
     LyapunovEstimate,
-    SpherePoint,
     classical_map,
     lyapunov,
     lyapunov_running,
@@ -34,21 +33,22 @@ def test_zero_torsion_pole_orbit_has_period_four():
     pt = (0.0, 0.0, 1.0)
     expect = [(1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (-1.0, 0.0, 0.0), (0.0, 0.0, 1.0)]
     for want in expect:
-        pt = classical_map(pt, 0.0, HALF_PI).as_tuple()
+        pt = classical_map(pt, 0.0, HALF_PI)
         np.testing.assert_allclose(pt, want, atol=1e-15)
 
 
 def test_minus_y_is_a_fixed_point_for_every_torsion():
     for kappa0 in (0.0, 0.5, 2.0, 6.0, 10.0):
         img = classical_map((0.0, -1.0, 0.0), kappa0, HALF_PI)
-        np.testing.assert_allclose(img.as_tuple(), (0.0, -1.0, 0.0), atol=1e-15)
+        np.testing.assert_allclose(img, (0.0, -1.0, 0.0), atol=1e-15)
 
 
-def test_map_accepts_sphere_point_and_stays_on_sphere():
-    pt = SpherePoint(*START)
+def test_map_stays_on_sphere():
+    pt = classical_map(START, 3.3, HALF_PI)
+    assert type(pt) is tuple and len(pt) == 3 and all(type(c) is float for c in pt)
     for _ in range(50):
         pt = classical_map(pt, 3.3, HALF_PI)
-        assert abs(pt.x**2 + pt.y**2 + pt.z**2 - 1.0) < 1e-12
+        assert abs(sum(c * c for c in pt) - 1.0) < 1e-12
 
 
 def test_map_rejects_off_sphere_input():
@@ -56,6 +56,24 @@ def test_map_rejects_off_sphere_input():
         classical_map((0.0, 0.0, 1.1), 1.0, HALF_PI)
     with pytest.raises(DomainError, match=r"^\|pt\|\^2 = .* is not 1$"):
         tangent_step((0.5, 0.5, 0.5), (0.0, 0.0, 0.0), 1.0, HALF_PI)
+    # a NaN coordinate is not on the sphere either
+    with pytest.raises(DomainError, match=r"^\|pt\|\^2 = nan is not 1$"):
+        classical_map((math.nan, 0.0, 1.0), 1.0, HALF_PI)
+    with pytest.raises(DomainError, match=r"^\|pt\|\^2 = nan is not 1$"):
+        tangent_step((0.0, 0.0, math.nan), (1.0, 0.0, 0.0), 1.0, HALF_PI)
+
+
+@pytest.mark.parametrize(
+    "kappa0, p",
+    [(math.inf, HALF_PI), (math.nan, HALF_PI), (-1.0, HALF_PI), (1.0, math.inf), (1.0, math.nan)],
+    ids=["inf-kappa0", "nan-kappa0", "negative-kappa0", "inf-p", "nan-p"],
+)
+def test_map_and_tangent_step_reject_bad_kappa0_and_p(kappa0, p):
+    match = r"^kappa0 must be finite and >= 0 and p finite, got"
+    with pytest.raises(DomainError, match=match):
+        classical_map((0.0, 0.0, 1.0), kappa0, p)
+    with pytest.raises(DomainError, match=match):
+        tangent_step((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), kappa0, p)
 
 
 def test_zero_torsion_map_is_an_isometry():
@@ -65,8 +83,8 @@ def test_zero_torsion_map_is_an_isometry():
         a /= np.linalg.norm(a)
         b = rng.standard_normal(3)
         b /= np.linalg.norm(b)
-        fa = np.array(classical_map(tuple(a), 0.0, 1.234).as_tuple())
-        fb = np.array(classical_map(tuple(b), 0.0, 1.234).as_tuple())
+        fa = np.array(classical_map(tuple(a), 0.0, 1.234))
+        fb = np.array(classical_map(tuple(b), 0.0, 1.234))
         assert np.dot(fa, fb) == pytest.approx(np.dot(a, b), abs=1e-12)
 
 
@@ -84,7 +102,7 @@ def test_tangent_step_output_is_tangent_at_the_image():
     rng = np.random.default_rng(8)
     for _ in range(20):
         pt, v = random_tangent_pair(rng)
-        img = np.array(classical_map(pt, 4.1, HALF_PI).as_tuple())
+        img = np.array(classical_map(pt, 4.1, HALF_PI))
         w = np.array(tangent_step(pt, v, 4.1, HALF_PI))
         assert abs(np.dot(w, img)) < 1e-12
 
@@ -92,6 +110,11 @@ def test_tangent_step_output_is_tangent_at_the_image():
 def test_tangent_step_rejects_non_tangent_vectors():
     with pytest.raises(DomainError, match=r"^v \. pt = .* is not 0$"):
         tangent_step((0.0, 0.0, 1.0), (0.0, 0.1, 1.0), 1.0, HALF_PI)
+    # a NaN or infinite tangent is not tangent either
+    with pytest.raises(DomainError, match=r"^v \. pt = nan is not 0$"):
+        tangent_step((0.0, 0.0, 1.0), (math.nan, 0.0, 0.0), 1.0, HALF_PI)
+    with pytest.raises(DomainError, match=r"^v \. pt = inf is not 0$"):
+        tangent_step((0.6, 0.0, 0.8), (math.inf, 0.0, 0.0), 1.0, HALF_PI)
 
 
 def test_lyapunov_validation():
@@ -101,6 +124,9 @@ def test_lyapunov_validation():
         lyapunov(1.0, HALF_PI, START, 1000, transient=1000)
     with pytest.raises(DomainError):
         lyapunov(1.0, HALF_PI, START, 1000, transient=-1)
+    # a NaN start is bad input, not a numerical failure of the loop
+    with pytest.raises(DomainError, match=r"^\|pt\|\^2 = nan is not 1$"):
+        lyapunov(1.0, HALF_PI, (math.nan, 0.0, 1.0), 1000)
 
 
 def test_lyapunov_regular_and_chaotic_anchors():
@@ -148,7 +174,7 @@ def test_inlined_loop_equals_public_map_and_tangent(kappa0, p):
     manual = []
     for _ in range(steps):
         w = tangent_step(pt, v, kappa0, p)
-        pt = classical_map(pt, kappa0, p).as_tuple()
+        pt = classical_map(pt, kappa0, p)
         wnorm = math.sqrt(sum(c * c for c in w))
         v = tuple(c / wnorm for c in w)
         acc += math.log(wnorm)

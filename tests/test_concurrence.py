@@ -19,7 +19,6 @@ from kickedtop import (
     reduce_symmetric,
     wootters,
 )
-from kickedtop.spin import SymmetricState
 from oracles import concurrence_power_iteration, power_iteration_eigvals, random_density
 
 BELL = np.zeros((4, 4), dtype=complex)
@@ -161,7 +160,7 @@ def test_stacked_reduction_and_wootters_equal_one_state_at_a_time():
         assert stack.rho.shape == (12, 4, 4)
         assert res.concurrence.shape == (12,) and res.lambdas.shape == (12, 4)
         for t, row in enumerate(amps):
-            dm = reduce_symmetric(collective_expectations(SymmetricState(row)))
+            dm = reduce_symmetric(collective_expectations(row))
             one = wootters(dm)
             np.testing.assert_allclose(stack.rho[t], dm.rho, rtol=0.0, atol=1e-14)
             np.testing.assert_allclose(res.lambdas[t], one.lambdas, rtol=0.0, atol=1e-14)
@@ -267,3 +266,6 @@ def test_dicke_closed_domain_errors():
         dicke_concurrence_closed(15, 0.0)  # wrong parity for odd N
     with pytest.raises(DomainError):
         dicke_concurrence_closed(4, 3.0)  # |M| > N/2
+    for m in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=r"^M must be finite, got"):
+            dicke_concurrence_closed(4, m)

@@ -31,9 +31,7 @@ def test_the_public_surface_is_pinned():
         "LyapunovEstimate",
         "NumericalError",
         "ParityBasis",
-        "SpherePoint",
         "SpinQuantum",
-        "SymmetricState",
         "TwoQubitDensity",
         "analytic_concurrence",
         "analytic_concurrence_series",

@@ -17,7 +17,6 @@ from kickedtop import (
     reduce_symmetric,
     spin_coherent,
 )
-from kickedtop.spin import SymmetricState
 from dense_spin import collective_operators
 from oracles import (
     epr_expectations_bruteforce,
@@ -29,7 +28,7 @@ from oracles import (
 def random_symmetric_state(rng, n_qubits):
     amps = rng.standard_normal(n_qubits + 1) + 1j * rng.standard_normal(n_qubits + 1)
     amps /= np.linalg.norm(amps)
-    return SymmetricState(amps=amps)
+    return amps
 
 
 def test_collective_expectations_on_number_states():
@@ -53,13 +52,12 @@ def test_ladder_sum_moments_match_dense_operator_expectations():
         ops = collective_operators(SpinQuantum(n_qubits))
         atol = 1e-12 * max(1.0, n_qubits**2)
         for _ in range(4):
-            state = random_symmetric_state(rng, n_qubits)
-            psi = state.amps
+            psi = random_symmetric_state(rng, n_qubits)
 
             def dense(op):
                 return complex(np.vdot(psi, op @ psi))
 
-            exp = collective_expectations(state)
+            exp = collective_expectations(psi)
             assert exp.n_qubits == n_qubits
             assert abs(exp.sz - dense(ops.jz)) < atol
             assert abs(exp.sz2 - dense(ops.jz @ ops.jz)) < atol
@@ -76,7 +74,7 @@ def test_reduce_symmetric_matches_tensor_partial_trace():
         for _ in range(6):
             state = random_symmetric_state(rng, n_qubits)
             got = reduce_symmetric(collective_expectations(state)).rho
-            want = pair_reduction_bruteforce(state.amps)
+            want = pair_reduction_bruteforce(state)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 

@@ -7,16 +7,34 @@ import pytest
 
 from kickedtop import (
     DomainError,
+    KickedTopParams,
     SpinQuantum,
+    analytic_concurrence,
+    analytic_concurrence_series,
+    chebyshev_step,
+    chebyshev_table,
     coherent_from_angles,
     collective_expectations,
+    concurrence_series,
+    concurrence_sweep,
     epr_expectations,
     epr_reduce,
+    evolve,
+    floquet,
+    lyapunov,
+    lyapunov_running,
     number_state,
     spin_coherent,
+    time_average,
 )
 from dense_spin import collective_operators, jvec
 from oracles import embed_symmetric
+
+LYAPUNOV_START = (math.sin(2.25), 0.0, math.cos(2.25))
+
+
+def kicked_series(n_max):
+    return concurrence_series(KickedTopParams(SpinQuantum(2), 1.0), 0.3, 0.0, n_max)
 
 
 def test_spin_quantum_properties_and_validation():
@@ -32,16 +50,31 @@ def test_spin_quantum_properties_and_validation():
     "make",
     [
         lambda n: SpinQuantum(n).dim,
-        lambda n: number_state(n, 1).amps,
-        lambda n: number_state(4, n).amps,
-        lambda n: spin_coherent(n, 0.8).amps,
-        lambda n: coherent_from_angles(n, 0.7, 0.3).amps,
+        lambda n: number_state(n, 1),
+        lambda n: number_state(4, n),
+        lambda n: spin_coherent(n, 0.8),
+        lambda n: coherent_from_angles(n, 0.7, 0.3),
         lambda n: epr_expectations(n),
         lambda n: epr_reduce(n).rho,
         lambda n: epr_reduce([2, n]).rho,
+        lambda n: concurrence_sweep(SpinQuantum(2), [1.0], 0.3, 0.0, n)[0].concurrence,
+        lambda n: kicked_series(n).concurrence,
+        lambda n: time_average(kicked_series(5), n),
+        lambda n: evolve(number_state(2, 0), floquet(KickedTopParams(SpinQuantum(2), 1.0)), n),
+        lambda n: lyapunov_running(1.0, math.pi / 2, LYAPUNOV_START, 1000 * n),
+        lambda n: lyapunov_running(1.0, math.pi / 2, LYAPUNOV_START, 1000, transient=n),
+        lambda n: lyapunov(1.0, math.pi / 2, LYAPUNOV_START, 1000 * n).lam,
+        lambda n: chebyshev_table(n, 1.0),
+        lambda n: chebyshev_step(n, 1.0).alpha,
+        lambda n: analytic_concurrence_series(n, 1.0),
+        lambda n: analytic_concurrence(n, 1.0),
     ],
     ids=["SpinQuantum", "number_state-N", "number_state-n", "spin_coherent",
-         "coherent_from_angles", "epr_expectations", "epr_reduce", "epr_reduce-list"],
+         "coherent_from_angles", "epr_expectations", "epr_reduce", "epr_reduce-list",
+         "concurrence_sweep-n_max", "concurrence_series-n_max", "time_average-burn_in",
+         "evolve-n", "lyapunov_running-steps", "lyapunov_running-transient", "lyapunov-steps",
+         "chebyshev_table-n_max", "chebyshev_step-n", "analytic_concurrence_series-n_max",
+         "analytic_concurrence-n"],
 )
 def test_counts_must_be_integers(make):
     with pytest.raises(DomainError, match=r"must be (an )?integers?, got"):
@@ -81,16 +114,16 @@ def test_ladder_action_on_number_states():
     j = n_qubits / 2
     for n in range(n_qubits):
         m = n - j
-        got = ops.jplus @ number_state(n_qubits, n).amps
-        want = math.sqrt(j * (j + 1) - m * (m + 1)) * number_state(n_qubits, n + 1).amps
+        got = ops.jplus @ number_state(n_qubits, n)
+        want = math.sqrt(j * (j + 1) - m * (m + 1)) * number_state(n_qubits, n + 1)
         np.testing.assert_allclose(got, want, atol=1e-15)
 
 
 def test_number_state_basics():
     s = number_state(3, 2)
-    np.testing.assert_array_equal(s.amps, [0, 0, 1, 0])
-    assert s.n_qubits == 3
-    assert np.linalg.norm(s.amps) == 1.0
+    assert isinstance(s, np.ndarray) and s.shape == (4,) and s.dtype == complex
+    np.testing.assert_array_equal(s, [0, 0, 1, 0])
+    assert np.linalg.norm(s) == 1.0
     with pytest.raises(DomainError, match=r"^n = 4 outside 0\.\.3$"):
         number_state(3, 4)
     with pytest.raises(DomainError, match=r"^n = -1 outside 0\.\.3$"):
@@ -99,9 +132,10 @@ def test_number_state_basics():
 
 def test_spin_coherent_exact_binomial_amplitudes():
     s = spin_coherent(2, 1.0)
-    np.testing.assert_allclose(s.amps, [0.5, math.sqrt(2) / 2, 0.5], atol=1e-15)
+    assert isinstance(s, np.ndarray) and s.shape == (3,) and s.dtype == complex
+    np.testing.assert_allclose(s, [0.5, math.sqrt(2) / 2, 0.5], atol=1e-15)
     # eta = 0 is the bottom pole, all qubits in |1>
-    np.testing.assert_array_equal(spin_coherent(4, 0.0).amps, [1, 0, 0, 0, 0])
+    np.testing.assert_array_equal(spin_coherent(4, 0.0), [1, 0, 0, 0, 0])
     with pytest.raises(DomainError, match=r"^n_qubits must be >= 1, got 0$"):
         spin_coherent(0, 1.0)
 
@@ -113,7 +147,7 @@ def test_spin_coherent_is_a_product_state_in_the_full_tensor_space():
         full = np.array([1.0], dtype=complex)
         for _ in range(n_qubits):
             full = np.kron(full, single)
-        got = embed_symmetric(spin_coherent(n_qubits, eta).amps)
+        got = embed_symmetric(spin_coherent(n_qubits, eta))
         # compare up to the global phase the constructor fixes
         overlap = np.vdot(got, full)
         assert abs(abs(overlap) - 1.0) < 1e-12
@@ -135,18 +169,19 @@ def test_coherent_from_angles_points_the_spin_vector():
 
 def test_coherent_from_angles_poles():
     top = coherent_from_angles(4, 0.0, 0.3)
-    np.testing.assert_array_equal(top.amps, [0, 0, 0, 0, 1])
+    assert isinstance(top, np.ndarray) and top.shape == (5,) and top.dtype == complex
+    np.testing.assert_array_equal(top, [0, 0, 0, 0, 1])
     # theta within the snap window of pi collapses to the exact bottom state
     bottom = coherent_from_angles(4, math.pi - 1e-13, 0.7)
-    np.testing.assert_array_equal(bottom.amps, [1, 0, 0, 0, 0])
+    np.testing.assert_array_equal(bottom, [1, 0, 0, 0, 0])
 
 
 def test_coherent_matches_stereographic_parameterization():
     # eta = cot(theta/2) at phi = 0: the two constructors build the
     # same state and the same fixed global phase
     for n_qubits, eta in [(3, 0.7), (5, 2.5), (8, 0.05)]:
-        a = spin_coherent(n_qubits, eta).amps
-        b = coherent_from_angles(n_qubits, 2.0 * math.atan(1.0 / eta), 0.0).amps
+        a = spin_coherent(n_qubits, eta)
+        b = coherent_from_angles(n_qubits, 2.0 * math.atan(1.0 / eta), 0.0)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -155,9 +190,9 @@ def test_coherent_from_angles_at_large_n():
     # (1100, 0.7): binom(1100, 550) is beyond the float range.
     for n_qubits, theta, phi in [(200, 0.05, 0.3), (1100, 0.7, 0.3)]:
         state = coherent_from_angles(n_qubits, theta, phi)
-        assert np.all(np.isfinite(state.amps))
-        assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-14
-        lead = state.amps[np.flatnonzero(state.amps)[0]]
+        assert np.all(np.isfinite(state))
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-14
+        lead = state[np.flatnonzero(state)[0]]
         assert lead.imag == 0.0 and lead.real > 0
         exp = collective_expectations(state)
         j = n_qubits / 2
@@ -168,5 +203,5 @@ def test_coherent_from_angles_at_large_n():
 
 def test_global_phase_convention():
     s = coherent_from_angles(5, 1.1, 0.9)
-    lead = s.amps[np.flatnonzero(np.abs(s.amps) > 0)[0]]
+    lead = s[np.flatnonzero(np.abs(s) > 0)[0]]
     assert abs(lead.imag) < 1e-15 and lead.real > 0
