@@ -40,9 +40,17 @@ class LyapunovEstimate:
     transient: int
 
 
+def _vec3(name: str, v) -> Vec3:
+    """v as three floats; DomainError unless it has exactly three components."""
+    comps = tuple(float(c) for c in v)
+    if len(comps) != 3:
+        raise DomainError(f"{name} must have 3 components, got {len(comps)}")
+    return comps
+
+
 def _sphere_point(pt) -> Vec3:
     """pt as three floats; DomainError unless it is on the unit sphere (a NaN is not)."""
-    x, y, z = (float(c) for c in pt)
+    x, y, z = _vec3("pt", pt)
     if not abs(x * x + y * y + z * z - 1.0) <= SPHERE_TOL:
         raise DomainError(f"|pt|^2 = {x * x + y * y + z * z} is not 1")
     return x, y, z
@@ -79,7 +87,7 @@ def tangent_step(pt, v, kappa0: float, p: float) -> Vec3:
     """
     _check_params(kappa0, p)
     x, y, z = _sphere_point(pt)
-    vx, vy, vz = (float(c) for c in v)
+    vx, vy, vz = _vec3("v", v)
     vnorm = math.sqrt(vx * vx + vy * vy + vz * vz)
     dot = vx * x + vy * y + vz * z
     if not (math.isfinite(vnorm) and abs(dot) <= TANGENT_TOL * max(1.0, vnorm)):
@@ -166,7 +174,7 @@ def lyapunov_running(
     if not 0 <= _as_int("transient", transient) < steps:
         raise DomainError(f"need 0 <= transient < steps, got transient={transient}")
     x, y, z = _sphere_point(pt0)
-    vx, vy, vz = _seed_tangent(x, y, z, seed)
+    vx, vy, vz = _seed_tangent(x, y, z, _as_int("seed", seed))
 
     cp, sp = math.cos(p), math.sin(p)
     out: list[float] = []

@@ -10,16 +10,32 @@ as explicit phases exp(-i kappa0 m^2 / (2j)) rather than through a
 matrix exponential.  The rotation is the real orthogonal Wigner
 d-matrix, built with no eigensolver: the eigenvectors of the
 tridiagonal Jx, whose eigenvalues are exactly m = -j..j, come from the
-Jx three-term recurrence run up to the middle index and reflected
-through it, and one real matrix product then gives the whole rotation.
+Jx three-term recurrence run up to the middle index.
+
+Both factors commute with the pi-rotation G = exp(-i pi Jy), which maps
+|n> to g_n |N-n> with g_n = (-1)^(N-n) (N = 2j; the flip-all parity of
+Haake, Kus and Scharf, Z. Phys. B 65, 381, 1987, is i^N G).  So U splits
+into two blocks of size N//2 + 1 in the eigenbasis of G:
+
+    even N: (|a> +- g_a |N-a>)/sqrt(2) for a < N/2, plus |N/2> in the
+            block of its eigenvalue g_(N/2); both blocks are real, and
+            the smaller is padded with a zero row and column;
+    odd N:  (|a> -+ i g_a |N-a>)/sqrt(2); the second block is the complex
+            conjugate of the first, so the engine carries the
+            conjugated second-block coefficients and one complex block
+            acts on both.
+
+_parity_blocks builds the blocks from half-size products, never forming
+the full rotation; _rotation and floquet assemble them back into the Jz
+basis.
 
 `concurrence_sweep` is the one engine behind every concurrence series.
-For one (2j, p) it builds the rotation exp(-i p Jy) once and pushes the
-coherent start through the kicks for all K values of kappa0 together,
-as a (2j+1, K) array: one matrix product per kick, then each column
-takes its own torsion phases.  The kick axis is collected in blocks of
-at most KICK_BLOCK_AMPLITUDES amplitudes, so memory does not grow with
-the kick count, and each block goes through the two-qubit reduction in
+For one (2j, p) it builds the blocks once and pushes the coherent start
+through the kicks for all K values of kappa0 together, as a (2, N//2+1,
+K) array: one matrix product per kick, then the torsion phases.  The
+kick axis is collected in blocks of at most KICK_BLOCK_AMPLITUDES
+amplitudes, so memory does not grow with the kick count, and each block
+goes back to the Jz basis and through the two-qubit reduction in
 :mod:`.pairwise` and Wootters' formula as one stack.
 `concurrence_series` is the K = 1 case.
 """
@@ -48,10 +64,13 @@ KICK_BLOCK_AMPLITUDES = 1 << 14
 # even k, (-i)^k times -iS for odd k.
 _QUARTER_TURN_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
-# A column of the Jx recurrence is scaled by _RESCALE_STEP (exact, a
-# power of two) once an entry passes _RESCALE_AT.  One step grows an
-# entry by at most about 1.5 sqrt(N), so for any N below 2^250 the
-# squared entries of a column cannot sum past the float range.
+# Every _RESCALE_EVERY steps, a column of the Jx recurrence whose last
+# two entries pass _RESCALE_AT is scaled by _RESCALE_STEP (exact, a
+# power of two).  One step grows an entry by at most about 1.5 sqrt(N),
+# so between checks an entry stays below 2^256 (1.5 sqrt(N))^32, which
+# is 2^467 at N = 4096, and the squared entries of a column cannot sum
+# past the float range for any N up to about 20 000.
+_RESCALE_EVERY = 32
 _RESCALE_AT = 2.0**256
 _RESCALE_STEP = 2.0**-256
 
@@ -96,49 +115,169 @@ class ConcurrenceSeries:
         return [(n, float(c)) for n, c in enumerate(self.concurrence, start=1)]
 
 
-def _rotation(q: SpinQuantum, p: float) -> np.ndarray:
-    """exp(-i p Jy) on the (2j+1)-dimensional symmetric subspace, as a real matrix.
+def _jx_top_rows(n_qubits: int, eigvals: np.ndarray) -> np.ndarray:
+    """Rows n = 0..N//2 of the unit eigenvectors of Jx, one column per eigenvalue.
+
+    Column b solves c[n-1] v[n-1] + c[n] v[n+1] = 2 m_b v[n], run upward
+    from v[0] = 1 for all columns at once; every _RESCALE_EVERY steps a
+    column whose last two entries pass _RESCALE_AT is rescaled.  Jx
+    commutes with n -> N-n, so the rows below the middle mirror these,
+    v[N-n] = (-1)^(N-b) v[n], and each column is normalised over the
+    whole of it (its sign does not matter, as V enters only as
+    V f(W) V^T).
+    """
+    _, c = _ladder(n_qubits)
+    half = n_qubits // 2
+    two_m = 2.0 * eigvals
+    inv_c = 1.0 / c
+    v = np.empty((half + 1, eigvals.size))
+    v[0] = 1.0
+    below = np.empty(eigvals.size)  # c[n-1] v[n-1]
+    for n in range(half):
+        row = v[n + 1]
+        np.multiply(two_m, v[n], out=row)
+        if n:
+            np.multiply(c[n - 1], v[n - 1], out=below)
+            row -= below
+        row *= inv_c[n]
+        if n % _RESCALE_EVERY == _RESCALE_EVERY - 1:
+            big = (np.abs(v[n : n + 2]) > _RESCALE_AT).any(axis=0)
+            if big.any():
+                v[: n + 2, big] *= _RESCALE_STEP
+    # each row but the middle one of even N stands for itself and its mirror
+    norm2 = 2.0 * np.einsum("nb,nb->b", v, v)
+    if n_qubits % 2 == 0:
+        norm2 -= v[half] ** 2
+    v /= np.sqrt(norm2)
+    # the rescaled far edges of the outer columns end up subnormal, and
+    # subnormals slow the products down about 1.5x at 2j = 4096
+    v[np.abs(v) < np.finfo(float).tiny] = 0.0
+    return v
+
+
+def _parity_blocks(q: SpinQuantum, p: float) -> np.ndarray:
+    """exp(-i p Jy) in the eigenbasis of G (see the module docstring).
+
+    Returns a real (2, h, h) stack for even N, the blocks of G = +1 and
+    G = -1, and one complex (h, h) block for odd N, the block of
+    G = +i, whose conjugate is the block of G = -i; h = N//2 + 1.
 
     Jy = D Jx D^dagger with D = diag((-i)^n), and Jx is real symmetric
     tridiagonal with eigenvalues exactly m = -j..j, so with Jx = V W V^T
     the rotation is R[a, b] = (-i)^(a-b) (C - iS)[a, b],
-    C = V cos(pW) V^T, S = V sin(pW) V^T.
+    C = V cos(pW) V^T, S = V sin(pW) V^T.  The recurrence gives
+    v(-m) = diag((-1)^n) v(m) exactly, so C is zero at odd a - b and S
+    at even a - b, and M = V (cos(pW) + sin(pW)) V^T holds both: R is
+    real, +-C[a, b] for even a - b and +-S[a, b] for odd a - b.
 
-    Column b of V solves c[n-1] v[n-1] + c[n] v[n+1] = 2 m_b v[n], run
-    upward from v[0] = 1 for all b at once up to the middle index; the
-    upper half follows from v[N-n] = (-1)^(N-b) v[n], since Jx commutes
-    with n -> N-n.  A column is rescaled by _RESCALE_STEP whenever it
-    passes _RESCALE_AT, then every column is normalised (its sign does
-    not matter, as V enters only as V f(W) V^T).
-
-    The recurrence gives v(-m) = diag((-1)^n) v(m) exactly, so C is zero
-    at odd a - b and S at even a - b, and one product
-    V (cos(pW) + sin(pW)) V^T holds both: every entry of R is real,
-    +-C[a, b] for even a - b and +-S[a, b] for odd a - b.
+    Only the rows a <= N/2 of R are needed.  Split the columns k of V by
+    their reflection sign (-1)^(N-k) into the products E (sign +1) and
+    O (sign -1) over the top rows; then M[a, b] = E + O and
+    M[a, N-b] = E - O for a, b <= N/2.  The blocks are
+    R[a, b] +- g_b R[a, N-b] for even N, with the middle row and column
+    scaled by 1/sqrt(2), and R[a, b] - i g_b R[a, N-b] for odd N.
     """
-    m, c = _ladder(q.n_qubits)
-    top, half = q.n_qubits, q.n_qubits // 2
-    two_m = 2.0 * m
-    v = np.empty((q.dim, q.dim))
-    v[0] = 1.0
-    below = np.zeros(q.dim)  # c[n-1] v[n-1], absent at n = 0
-    for n in range(half):
-        v[n + 1] = (two_m * v[n] - below) / c[n]
-        below = c[n] * v[n]
-        big = np.abs(v[n + 1]) > _RESCALE_AT
-        if big.any():
-            v[: n + 2, big] *= _RESCALE_STEP
-            below[big] *= _RESCALE_STEP
-    v[top - half :] = v[half::-1] * (-1.0) ** np.arange(top, -1, -1)
-    v /= np.sqrt(np.einsum("nb,nb->b", v, v))
-    # the rescaled far edges of the outer columns end up subnormal, and
-    # subnormals slow the GEMM down about 1.5x at 2j = 4096
-    v[np.abs(v) < np.finfo(float).tiny] = 0.0
-    angles = p * m
-    rotation = (v * (np.cos(angles) + np.sin(angles))) @ v.T
+    n, half = q.n_qubits, q.n_qubits // 2
+    h = half + 1
+    m, _ = _ladder(n)
+    # the h columns with (-1)^(N-k) = +1 first, then the rest
+    eigvals = m[np.r_[n % 2 : n + 1 : 2, 1 - n % 2 : n + 1 : 2]]
+    angles = p * eigvals
+    f = np.cos(angles) + np.sin(angles)
+    v = _jx_top_rows(n, eigvals)
+    even = (v[:, :h] * f[:h]) @ v[:, :h].T
+    odd = (v[:, h:] * f[h:]) @ v[:, h:].T
+    del v
+    same = even + odd  # M[a, b]
+    cross = np.subtract(even, odd, out=even)  # M[a, N-b]
+    del odd
+    cols = np.arange(h)
+    g = (-1.0) ** (n - cols)
     for a in range(4):
-        rotation[a::4] *= _QUARTER_TURN_SIGN[(a - np.arange(q.dim)) % 4]
-    return rotation
+        same[a::4] *= _QUARTER_TURN_SIGN[(a - cols) % 4]
+        cross[a::4] *= _QUARTER_TURN_SIGN[(a - n + cols) % 4] * g
+    # now same[a, b] = R[a, b] and cross[a, b] = g_b R[a, N-b]
+    if n % 2:
+        blocks = np.empty((h, h), dtype=complex)
+        blocks.real = same
+        np.negative(cross, out=blocks.imag)
+        return blocks
+    blocks = np.empty((2, h, h))
+    np.add(same, cross, out=blocks[0])
+    np.subtract(same, cross, out=blocks[1])
+    # |N/2> lies in the block of g_(N/2) = (-1)^(N/2), and pads the other
+    own = half % 2
+    blocks[1 - own, half] = blocks[1 - own, :, half] = 0.0
+    blocks[own, half] *= math.sqrt(0.5)
+    blocks[own, :, half] *= math.sqrt(0.5)
+    return blocks
+
+
+def _rotation(q: SpinQuantum, p: float) -> np.ndarray:
+    """exp(-i p Jy) on the (2j+1)-dimensional symmetric subspace, as a real matrix.
+
+    The blocks of _parity_blocks assembled back into the Jz basis: they
+    give R[a, b] and R[a, N-b] for a, b <= N/2, and G R G^T = R gives the
+    lower rows, R[N-a, N-b] = g_a g_b R[a, b].
+    """
+    n = q.n_qubits
+    blocks = _parity_blocks(q, p)
+    h = blocks.shape[-1]
+    if n % 2:
+        same, cross = blocks.real, -blocks.imag
+    else:
+        # undo the middle scaling; the padded row and column stay zero
+        scale = np.ones(h)
+        scale[-1] = math.sqrt(2.0)
+        plus, minus = blocks * scale[:, None] * scale
+        same, cross = (plus + minus) / 2.0, (plus - minus) / 2.0
+    g = (-1.0) ** np.arange(n, -1, -1)
+    low = n + 1 - h  # the indices a < N/2, each paired with its mirror N-a
+    r = np.empty((n + 1, n + 1))
+    r[:h, :h] = same
+    r[:h, h:] = (cross[:, :low] * g[:low])[:, ::-1]
+    r[::-1, ::-1][:low] = g[:low, None] * g * r[:low]
+    return r
+
+
+def _parity_coords(amps: np.ndarray, n_qubits: int) -> np.ndarray:
+    """One state's (2, N//2+1) coordinates in the eigenbasis of G, as the sweep carries them.
+
+    Row 0 holds the first block's coefficients; row 1 the second
+    block's for even N, their complex conjugates for odd N.
+    """
+    half, low = n_qubits // 2, n_qubits - n_qubits // 2
+    top = amps[:low]
+    mirror = amps[::-1][:low] * (-1.0) ** (n_qubits - np.arange(low))  # g_a amps[N-a]
+    coords = np.zeros((2, half + 1), dtype=complex)
+    if n_qubits % 2:
+        coords[0] = (top + 1j * mirror) * math.sqrt(0.5)
+        coords[1] = np.conj(top - 1j * mirror) * math.sqrt(0.5)
+    else:
+        coords[0, :low] = (top + mirror) * math.sqrt(0.5)
+        coords[1, :low] = (top - mirror) * math.sqrt(0.5)
+        coords[half % 2, half] = amps[half]
+    return coords
+
+
+def _jz_amplitudes(coords: np.ndarray, n_qubits: int) -> np.ndarray:
+    """(T, K, N+1) Jz amplitudes of a (T, 2, N//2+1, K) stack of G-basis coordinates.
+
+    The inverse of _parity_coords, for every kick and column at once.
+    """
+    half, low = n_qubits // 2, n_qubits - n_qubits // 2
+    first, second = coords[:, 0, :low], coords[:, 1, :low]
+    # g_a / sqrt(2), times -i for odd N, whose basis holds -+i g_a |N-a>
+    mirror_factor = (-1.0) ** (n_qubits - np.arange(low))[:, None] * math.sqrt(0.5)
+    if n_qubits % 2:
+        second = second.conj()
+        mirror_factor = -1j * mirror_factor
+    amps = np.empty((coords.shape[0], coords.shape[-1], n_qubits + 1), dtype=complex)
+    amps[:, :, :low] = ((first + second) * math.sqrt(0.5)).swapaxes(1, 2)
+    amps[:, :, ::-1][:, :, :low] = ((first - second) * mirror_factor).swapaxes(1, 2)
+    if n_qubits % 2 == 0:
+        amps[:, :, half] = coords[:, half % 2, half]
+    return amps
 
 
 def _torsion(q: SpinQuantum, kappa0s) -> np.ndarray:
@@ -190,22 +329,28 @@ def concurrence_sweep(
         raise DomainError(f"need at least 2 qubits for pairwise concurrence, got {q.n_qubits}")
     if _as_int("n_max", n_max) < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    start = coherent_from_angles(q.n_qubits, theta0, phi0)
-    # complex once here, so each kick is one complex GEMM and not a
-    # real-by-complex product that casts the rotation on every call
-    rotation = _rotation(q, p).astype(complex)
-    torsion = _torsion(q, kappa0s)
-    dim, k = torsion.shape
-    psi = np.repeat(start[:, None], k, axis=1)
-    block = max(1, KICK_BLOCK_AMPLITUDES // (dim * k))
+    n = q.n_qubits
+    blocks = _parity_blocks(q, p)
+    h = blocks.shape[-1]
+    torsion = _torsion(q, kappa0s)[:h]
+    k = torsion.shape[1]
+    # the conjugated second block of odd N takes the conjugate phases
+    phases = np.stack([torsion, torsion.conj() if n % 2 else torsion])
+    # the real blocks of even N act on the real view, (2, h, 2K) floats
+    operand = (lambda a: a) if n % 2 else (lambda a: a.view(float))
+    start = _parity_coords(coherent_from_angles(n, theta0, phi0), n)
+    state = np.repeat(start[:, :, None], k, axis=2)
+    block = max(1, KICK_BLOCK_AMPLITUDES // (q.dim * k))
     c = np.empty((n_max, k))
     for first in range(0, n_max, block):
-        amps = np.empty((min(block, n_max - first), k, dim), dtype=complex)
-        for kick in amps:
-            psi = torsion * (rotation @ psi)
-            kick[:] = psi.T
-        pairs = reduce_symmetric(collective_expectations(amps.reshape(-1, dim)))
-        c[first : first + len(amps)] = wootters(pairs).concurrence.reshape(-1, k)
+        kicks = np.empty((min(block, n_max - first), 2, h, k), dtype=complex)
+        for kick in kicks:
+            np.matmul(blocks, operand(state), out=operand(kick))
+            np.multiply(phases, kick, out=kick)
+            state = kick
+        amps = _jz_amplitudes(kicks, n).reshape(-1, q.dim)
+        pairs = reduce_symmetric(collective_expectations(amps))
+        c[first : first + len(kicks)] = wootters(pairs).concurrence.reshape(-1, k)
     return [ConcurrenceSeries(par, theta0, phi0, c[:, i].copy()) for i, par in enumerate(params)]
 
 

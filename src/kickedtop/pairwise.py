@@ -29,6 +29,11 @@ from .errors import DomainError, NumericalError
 from .spin import _as_int, _ladder
 
 TRACE_TOL = 1e-10
+# Kick roundoff moves sum |a_n|^2 by up to about 6e-16 per kick, the same
+# way every kick (measured at 2j <= 1001), so by about 6e-9 over the 1e7
+# kicks the CLI accepts: this leaves a wide margin above that drift and
+# still catches any real normalisation error.
+NORM_TOL = 1e-6
 HERMITIZE_TOL = 1e-10
 PSD_FLOOR = -1e-7
 
@@ -157,6 +162,14 @@ def collective_expectations(state: np.ndarray) -> CollectiveExpectations:
     Every sum runs along its own row, so a row of a stack gives the
     same moments as that state alone.  <Sx^2 + Sy^2> comes from
     j(j+1) - <Sz^2>, exact on the symmetric subspace.
+
+    A state whose sum |a_n|^2 is off 1 by more than NORM_TOL raises
+    DomainError: its moments would give a pair matrix whose trace is
+    not 1, reported later as a numerical failure, or, for the zero
+    vector, a plausible-looking matrix with no error at all.  A NaN
+    amplitude, which only a failed computation makes, passes this check
+    and fails the Hermiticity check of TwoQubitDensity.from_matrix as a
+    NumericalError.
     """
     amps = np.asarray(state, dtype=complex)
     if amps.ndim not in (1, 2):
@@ -166,6 +179,12 @@ def collective_expectations(state: np.ndarray) -> CollectiveExpectations:
     m, c = _ladder(n)
     j = n / 2
     prob = a.real**2 + a.imag**2
+    norm2 = prob.sum(axis=-1)
+    off = np.abs(norm2 - 1.0) > NORM_TOL
+    if off.any():
+        i = int(np.argmax(off))
+        where = "" if amps.ndim == 1 else f"row {i}: "
+        raise DomainError(f"{where}squared amplitudes sum to {float(norm2[i])!r}, not 1")
     hop = c * a[:, 1:].conj() * a[:, :-1]
     sz2 = (prob * (m * m)).sum(axis=-1)
     moments = {

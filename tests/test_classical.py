@@ -63,6 +63,17 @@ def test_map_rejects_off_sphere_input():
         tangent_step((0.0, 0.0, math.nan), (1.0, 0.0, 0.0), 1.0, HALF_PI)
 
 
+def test_points_and_tangents_need_three_components():
+    with pytest.raises(DomainError, match=r"^pt must have 3 components, got 2$"):
+        classical_map((0.0, 1.0), 1.0, 1.0)
+    with pytest.raises(DomainError, match=r"^pt must have 3 components, got 4$"):
+        lyapunov(1.0, 1.0, (0.0, 0.0, 1.0, 0.0), 1000)
+    with pytest.raises(DomainError, match=r"^v must have 3 components, got 2$"):
+        tangent_step((0.0, 0.0, 1.0), (1.0, 0.0), 1.0, HALF_PI)
+    with pytest.raises(DomainError, match=r"^v must have 3 components, got 4$"):
+        tangent_step((0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 0.0), 1.0, HALF_PI)
+
+
 @pytest.mark.parametrize(
     "kappa0, p",
     [(math.inf, HALF_PI), (math.nan, HALF_PI), (-1.0, HALF_PI), (1.0, math.inf), (1.0, math.nan)],
@@ -127,6 +138,10 @@ def test_lyapunov_validation():
     # a NaN start is bad input, not a numerical failure of the loop
     with pytest.raises(DomainError, match=r"^\|pt\|\^2 = nan is not 1$"):
         lyapunov(1.0, HALF_PI, (math.nan, 0.0, 1.0), 1000)
+    # so is a seed that is not an integer
+    for seed in (0.5, math.nan):
+        with pytest.raises(DomainError, match=r"^seed must be an integer, got"):
+            lyapunov(1.0, HALF_PI, START, 1000, seed=seed)
 
 
 def test_lyapunov_regular_and_chaotic_anchors():

@@ -13,13 +13,16 @@ from kickedtop import (
     SpinQuantum,
     analytic_concurrence_series,
     coherent_from_angles,
+    collective_expectations,
     concurrence_series,
     concurrence_sweep,
     evolve,
     floquet,
     number_state,
     parity_operator,
+    reduce_symmetric,
     time_average,
+    wootters,
 )
 from dense_spin import collective_operators, jvec
 
@@ -144,6 +147,77 @@ def test_parity_is_the_exact_signed_antidiagonal(two_j):
     np.testing.assert_allclose(
         pi_op, 1j**two_j * complex_route_rotation(q, math.pi), rtol=0.0, atol=1e-13
     )
+
+
+def g_basis(two_j):
+    # (2, 2j+1, h) columns of the eigenbasis of G = exp(-i pi Jy), block by
+    # block, with G|n> = g_n |N-n> and g_n = (-1)^(N-n); the smaller even
+    # block is padded with a zero column
+    n, half = two_j, two_j // 2
+    r = math.sqrt(0.5)
+    basis = np.zeros((2, n + 1, half + 1), dtype=complex)
+    for a in range(n - half):
+        g = (-1) ** (n - a)
+        basis[:, a, a] = r
+        if n % 2:
+            basis[:, n - a, a] = [-1j * g * r, 1j * g * r]
+        else:
+            basis[:, n - a, a] = [g * r, -g * r]
+    if n % 2 == 0:
+        basis[half % 2, half, half] = 1.0
+    return basis
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 4, 5, 6, 7, 30, 31])
+def test_parity_blocks_are_the_g_basis_projection_of_the_complex_route(two_j):
+    q = SpinQuantum(two_j)
+    basis = g_basis(two_j)
+    h = basis.shape[-1]
+    # the basis holds eigenvectors of G: +1 and -1 for even N, +i and -i for odd N
+    eig = [1.0, -1.0] if two_j % 2 == 0 else [1j, -1j]
+    g_op = complex_route_rotation(q, math.pi)
+    for b, lam in zip(basis, eig):
+        assert np.abs(g_op @ b - lam * b).max() <= 1e-13
+    for p in (math.pi / 2.0, 0.37, 2.9):
+        projected = basis.conj().swapaxes(1, 2) @ complex_route_rotation(q, p) @ basis
+        blocks = kicked_top._parity_blocks(q, p)
+        if two_j % 2:
+            assert blocks.dtype == np.complex128 and blocks.shape == (h, h)
+            blocks = np.stack([blocks, blocks.conj()])
+        else:
+            assert blocks.dtype == np.float64 and blocks.shape == (2, h, h)
+        assert np.abs(blocks - projected).max() <= 1e-13
+
+
+def reference_sweep(q, unitaries, theta0, phi0, n_max):
+    # the full-size loop: floquet(params) @ psi per kick, then the moments and wootters
+    series = []
+    for u in unitaries:
+        psi, kicks = coherent_from_angles(q.n_qubits, theta0, phi0), []
+        for _ in range(n_max):
+            psi = u @ psi
+            kicks.append(psi)
+        pairs = reduce_symmetric(collective_expectations(np.array(kicks)))
+        series.append(wootters(pairs).concurrence)
+    return series
+
+
+@pytest.mark.parametrize(
+    "two_j, n_max",
+    [(2, 60), (3, 60), (4, 60), (5, 60), (6, 60), (7, 60), (200, 30), (201, 30), (1001, 12)],
+)
+def test_sweep_matches_the_full_size_reference_loop(two_j, n_max, monkeypatch):
+    q = SpinQuantum(two_j)
+    grid = [0.0, 1.7, 4.9]
+    unitaries = [floquet(KickedTopParams(q, kappa0)) for kappa0 in grid]
+    # 5 kicks per block, so every sweep spans several blocks
+    monkeypatch.setattr(kicked_top, "KICK_BLOCK_AMPLITUDES", 5 * len(grid) * q.dim)
+    # the top pole, a tilted start and the bottom pole
+    for theta0, phi0 in [(0.0, 0.0), (0.7, 0.3), (math.pi, 0.0)]:
+        sweep = concurrence_sweep(q, grid, theta0, phi0, n_max)
+        reference = reference_sweep(q, unitaries, theta0, phi0, n_max)
+        for series, expected in zip(sweep, reference):
+            assert np.abs(series.concurrence - expected).max() <= 1e-12
 
 
 def test_parity_commutes_with_floquet():

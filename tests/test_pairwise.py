@@ -108,6 +108,20 @@ def test_reduce_symmetric_rejects_single_qubit():
         reduce_symmetric(exp)
 
 
+def test_unnormalised_states_are_domain_errors():
+    # the zero vector would give a plausible-looking matrix, and a doubled
+    # state a negative eigenvalue reported as a numerical failure
+    with pytest.raises(DomainError, match=r"^squared amplitudes sum to 0\.0, not 1$"):
+        reduce_symmetric(collective_expectations(np.zeros(4)))
+    with pytest.raises(DomainError, match=r"^squared amplitudes sum to 4\.0, not 1$"):
+        reduce_symmetric(collective_expectations(2 * number_state(3, 1)))
+    stack = np.array([number_state(3, 1), number_state(3, 2) * 1.001])
+    with pytest.raises(DomainError, match=r"^row 1: squared amplitudes sum to 1\.002"):
+        collective_expectations(stack)
+    # a drift of 1e-7, far above the roundoff of 1e7 kicks, still passes
+    collective_expectations(number_state(3, 1) * math.sqrt(1.0 + 1e-7))
+
+
 def test_from_matrix_validation():
     with pytest.raises(DomainError):
         TwoQubitDensity.from_matrix(np.eye(3))

@@ -64,6 +64,7 @@ def test_spin_quantum_properties_and_validation():
         lambda n: lyapunov_running(1.0, math.pi / 2, LYAPUNOV_START, 1000 * n),
         lambda n: lyapunov_running(1.0, math.pi / 2, LYAPUNOV_START, 1000, transient=n),
         lambda n: lyapunov(1.0, math.pi / 2, LYAPUNOV_START, 1000 * n).lam,
+        lambda n: lyapunov(1.0, math.pi / 2, LYAPUNOV_START, 1000, seed=n).lam,
         lambda n: chebyshev_table(n, 1.0),
         lambda n: chebyshev_step(n, 1.0).alpha,
         lambda n: analytic_concurrence_series(n, 1.0),
@@ -73,8 +74,8 @@ def test_spin_quantum_properties_and_validation():
          "coherent_from_angles", "epr_expectations", "epr_reduce", "epr_reduce-list",
          "concurrence_sweep-n_max", "concurrence_series-n_max", "time_average-burn_in",
          "evolve-n", "lyapunov_running-steps", "lyapunov_running-transient", "lyapunov-steps",
-         "chebyshev_table-n_max", "chebyshev_step-n", "analytic_concurrence_series-n_max",
-         "analytic_concurrence-n"],
+         "lyapunov-seed", "chebyshev_table-n_max", "chebyshev_step-n",
+         "analytic_concurrence_series-n_max", "analytic_concurrence-n"],
 )
 def test_counts_must_be_integers(make):
     with pytest.raises(DomainError, match=r"must be (an )?integers?, got"):
