@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .kicked_top import KickedTopParams, floquet
 from .pairwise import TwoQubitDensity
-from .spin import SpinQuantum, _as_int
+from .spin import SpinQuantum, _count
 
 BLOCK_LEAKAGE_TOL = 1e-9
 
@@ -100,8 +100,7 @@ def chebyshev_table(n_max: int, kappa0: float) -> tuple[np.ndarray, np.ndarray]:
     evaluation, keeps the endpoint values at chi = +-1/2 exact and stays
     well-conditioned since |chi| <= 1/2.
     """
-    if _as_int("n_max", n_max) < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    _count("n_max", n_max, 0)
     if not (math.isfinite(kappa0) and kappa0 >= 0.0):
         raise DomainError(f"kappa0 must be finite and >= 0, got {kappa0}")
     chi = math.sin(kappa0 / 3.0) / 2.0
@@ -123,8 +122,7 @@ def chebyshev_step(n: int, kappa0: float) -> ChebyshevStep:
         alpha_n = T_n(chi) + (i/2) U_{n-1}(chi) cos(2*kappa)
         beta_n  = (sqrt(3)/2) U_{n-1}(chi) exp(2i*kappa)
     """
-    if _as_int("n", n) < 0:
-        raise DomainError(f"kick count must be >= 0, got {n}")
+    _count("kick count", n, 0)
     # the table checks kappa0 before anything here takes its sine
     t, u = chebyshev_table(n, kappa0)
     kappa = kappa0 / 6.0
@@ -173,8 +171,7 @@ def analytic_concurrence(n: int, kappa0: float) -> float:
     The closed form lives on even n; odd kicks share the value of the
     following even kick, so n is rounded up to even first.
     """
-    if _as_int("n", n) < 1:
-        raise DomainError(f"kick count must be >= 1, got {n}")
+    _count("kick count", n, 1)
     return float(analytic_concurrence_series(n, kappa0)[-1])
 
 
@@ -184,8 +181,7 @@ def analytic_concurrence_series(n_max: int, kappa0: float) -> np.ndarray:
     One Chebyshev recurrence pass serves every n; the per-n function
     is the last entry of this series.
     """
-    if _as_int("n_max", n_max) < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    _count("n_max", n_max, 1)
     even_top = n_max if n_max % 2 == 0 else n_max + 1
     _, u = chebyshev_table(even_top, kappa0)
     mag = np.abs(u)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NumericalError
-from .spin import _as_int
+from .spin import _as_int, _count
 
 SPHERE_TOL = 1e-9
 TANGENT_TOL = 1e-9
@@ -105,10 +105,7 @@ def tangent_step(pt, v, kappa0: float, p: float) -> Vec3:
     wy = dxr * st + vy * ct + kappa0 * dzr * (xr * ct - y * st)
     wz = dzr
 
-    xt = xr * ct - y * st
-    yt = xr * st + y * ct
-    norm = math.sqrt(xt * xt + yt * yt + zr * zr)
-    nx, ny, nz = xt / norm, yt / norm, zr / norm
+    nx, ny, nz = classical_map(pt, kappa0, p)
     dot = wx * nx + wy * ny + wz * nz
     return (wx - dot * nx, wy - dot * ny, wz - dot * nz)
 
@@ -168,8 +165,7 @@ def lyapunov_running(
     Raises NumericalError when the tangent norm leaves the float range,
     which happens for kappa0 beyond about 1e154.
     """
-    if _as_int("steps", steps) < 1000:
-        raise DomainError(f"steps must be >= 1000, got {steps}")
+    _count("steps", steps, 1000)
     _check_params(kappa0, p)
     if not 0 <= _as_int("transient", transient) < steps:
         raise DomainError(f"need 0 <= transient < steps, got transient={transient}")

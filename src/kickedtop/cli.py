@@ -39,6 +39,7 @@ from .errors import DomainError, NumericalError
 from .kicked_top import (
     KICK_BLOCK_AMPLITUDES,
     KickedTopParams,
+    _check_burn_in,
     concurrence_series,
     concurrence_sweep,
     time_average,
@@ -141,14 +142,16 @@ def _check_size(count: int, cap: int = MAX_QUBITS, unit: str = "qubits") -> None
         raise DomainError(f"{count} {unit} exceeds the cap of {cap}")
 
 
+def _qubit_count(n_qubits: int, minimum: int) -> int:
+    if n_qubits < minimum:
+        raise DomainError(f"N must be >= {minimum}")
+    _check_size(n_qubits)
+    return n_qubits
+
+
 def _qubit_counts(text: str, minimum: int) -> list[int]:
     """Sorted counts from a comma-separated list, each checked before any is used."""
-    counts = sorted(_int_list(text))
-    for n_qubits in counts:
-        if n_qubits < minimum:
-            raise DomainError(f"N must be >= {minimum}")
-        _check_size(n_qubits)
-    return counts
+    return [_qubit_count(n_qubits, minimum) for n_qubits in sorted(_int_list(text))]
 
 
 def _spin_from_j(j: float) -> SpinQuantum:
@@ -220,10 +223,7 @@ def cmd_epr(args) -> None:
 
 
 def cmd_coherent(args) -> None:
-    n_qubits = args.N
-    if n_qubits < 2:
-        raise DomainError("N must be >= 2")
-    _check_size(n_qubits)
+    n_qubits = _qubit_count(args.N, 2)
     etas = sorted(_float_list(args.eta))
     results = _pair_wootters((spin_coherent(n_qubits, eta) for eta in etas), n_qubits)
     c_lambdas = [c_lambda for _, c_lambda in results]
@@ -252,6 +252,7 @@ def cmd_qkt_sweep(args) -> None:
     else:
         grid = _resolve_kappa0(args.kappa0, args.kappa)
     _check_size(len(grid) * args.n_max, MAX_STEPS, "kicks over the kappa0 grid")
+    _check_burn_in(args.burn_in, args.n_max)
     sweep = concurrence_sweep(q, sorted(grid), args.theta0, args.phi0, args.n_max)
     averages = [time_average(s, args.burn_in) for s in sweep]
     kappa0s = [s.params.kappa0 for s in sweep]

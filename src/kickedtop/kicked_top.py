@@ -25,9 +25,9 @@ into two blocks of size N//2 + 1 in the eigenbasis of G:
             conjugated second-block coefficients and one complex block
             acts on both.
 
-_parity_blocks builds the blocks from half-size products, never forming
-the full rotation; _rotation and floquet assemble them back into the Jz
-basis.
+_half_rotation builds the rotation's upper rows from half-size products,
+never forming the full rotation; _parity_blocks combines them into the
+blocks, and _rotation, and so floquet, places them in the Jz basis.
 
 `concurrence_sweep` is the one engine behind every concurrence series.
 For one (2j, p) it builds the blocks once and pushes the coherent start
@@ -51,7 +51,7 @@ import numpy as np
 from .concurrence import wootters
 from .errors import DomainError
 from .pairwise import collective_expectations, reduce_symmetric
-from .spin import SpinQuantum, _as_int, _ladder, coherent_from_angles
+from .spin import SpinQuantum, _count, _ladder, coherent_from_angles
 
 DEFAULT_PRECESSION = math.pi / 2.0
 
@@ -155,12 +155,12 @@ def _jx_top_rows(n_qubits: int, eigvals: np.ndarray) -> np.ndarray:
     return v
 
 
-def _parity_blocks(q: SpinQuantum, p: float) -> np.ndarray:
-    """exp(-i p Jy) in the eigenbasis of G (see the module docstring).
+def _half_rotation(q: SpinQuantum, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rows a <= N/2 of R = exp(-i p Jy), as two real (h, h) arrays, h = N//2 + 1.
 
-    Returns a real (2, h, h) stack for even N, the blocks of G = +1 and
-    G = -1, and one complex (h, h) block for odd N, the block of
-    G = +i, whose conjugate is the block of G = -i; h = N//2 + 1.
+    Returns (same, cross) with same[a, b] = R[a, b] and
+    cross[a, b] = g_b R[a, N-b] for a, b <= N/2; every other entry of R
+    follows from G R G^T = R, that is R[N-a, N-b] = g_a g_b R[a, b].
 
     Jy = D Jx D^dagger with D = diag((-i)^n), and Jx is real symmetric
     tridiagonal with eigenvalues exactly m = -j..j, so with Jx = V W V^T
@@ -170,15 +170,12 @@ def _parity_blocks(q: SpinQuantum, p: float) -> np.ndarray:
     at even a - b, and M = V (cos(pW) + sin(pW)) V^T holds both: R is
     real, +-C[a, b] for even a - b and +-S[a, b] for odd a - b.
 
-    Only the rows a <= N/2 of R are needed.  Split the columns k of V by
-    their reflection sign (-1)^(N-k) into the products E (sign +1) and
-    O (sign -1) over the top rows; then M[a, b] = E + O and
-    M[a, N-b] = E - O for a, b <= N/2.  The blocks are
-    R[a, b] +- g_b R[a, N-b] for even N, with the middle row and column
-    scaled by 1/sqrt(2), and R[a, b] - i g_b R[a, N-b] for odd N.
+    Split the columns k of V by their reflection sign (-1)^(N-k) into
+    the products E (sign +1) and O (sign -1) over the top rows; then
+    M[a, b] = E + O and M[a, N-b] = E - O for a, b <= N/2, and the
+    quarter-turn signs turn M into R.
     """
-    n, half = q.n_qubits, q.n_qubits // 2
-    h = half + 1
+    n, h = q.n_qubits, q.n_qubits // 2 + 1
     m, _ = _ladder(n)
     # the h columns with (-1)^(N-k) = +1 first, then the rest
     eigvals = m[np.r_[n % 2 : n + 1 : 2, 1 - n % 2 : n + 1 : 2]]
@@ -196,13 +193,25 @@ def _parity_blocks(q: SpinQuantum, p: float) -> np.ndarray:
     for a in range(4):
         same[a::4] *= _QUARTER_TURN_SIGN[(a - cols) % 4]
         cross[a::4] *= _QUARTER_TURN_SIGN[(a - n + cols) % 4] * g
-    # now same[a, b] = R[a, b] and cross[a, b] = g_b R[a, N-b]
+    return same, cross
+
+
+def _parity_blocks(q: SpinQuantum, p: float) -> np.ndarray:
+    """exp(-i p Jy) in the eigenbasis of G (see the module docstring), from _half_rotation.
+
+    Returns a real (2, h, h) stack for even N, the blocks of G = +1 and
+    G = -1, R[a, b] +- g_b R[a, N-b] with the middle row and column scaled
+    by 1/sqrt(2); for odd N, one complex (h, h) block R[a, b] - i g_b R[a, N-b]
+    of G = +i, whose conjugate is the block of G = -i; h = N//2 + 1.
+    """
+    n, half = q.n_qubits, q.n_qubits // 2
+    same, cross = _half_rotation(q, p)
     if n % 2:
-        blocks = np.empty((h, h), dtype=complex)
+        blocks = np.empty(same.shape, dtype=complex)
         blocks.real = same
         np.negative(cross, out=blocks.imag)
         return blocks
-    blocks = np.empty((2, h, h))
+    blocks = np.empty((2, *same.shape))
     np.add(same, cross, out=blocks[0])
     np.subtract(same, cross, out=blocks[1])
     # |N/2> lies in the block of g_(N/2) = (-1)^(N/2), and pads the other
@@ -216,21 +225,13 @@ def _parity_blocks(q: SpinQuantum, p: float) -> np.ndarray:
 def _rotation(q: SpinQuantum, p: float) -> np.ndarray:
     """exp(-i p Jy) on the (2j+1)-dimensional symmetric subspace, as a real matrix.
 
-    The blocks of _parity_blocks assembled back into the Jz basis: they
-    give R[a, b] and R[a, N-b] for a, b <= N/2, and G R G^T = R gives the
-    lower rows, R[N-a, N-b] = g_a g_b R[a, b].
+    The upper rows of _half_rotation placed in the Jz basis: same gives
+    R[a, b] and cross R[a, N-b] for a, b <= N/2, and G R G^T = R gives
+    the lower rows, R[N-a, N-b] = g_a g_b R[a, b].
     """
     n = q.n_qubits
-    blocks = _parity_blocks(q, p)
-    h = blocks.shape[-1]
-    if n % 2:
-        same, cross = blocks.real, -blocks.imag
-    else:
-        # undo the middle scaling; the padded row and column stay zero
-        scale = np.ones(h)
-        scale[-1] = math.sqrt(2.0)
-        plus, minus = blocks * scale[:, None] * scale
-        same, cross = (plus + minus) / 2.0, (plus - minus) / 2.0
+    same, cross = _half_rotation(q, p)
+    h = same.shape[0]
     g = (-1.0) ** np.arange(n, -1, -1)
     low = n + 1 - h  # the indices a < N/2, each paired with its mirror N-a
     r = np.empty((n + 1, n + 1))
@@ -293,8 +294,7 @@ def floquet(params: KickedTopParams) -> np.ndarray:
 
 def evolve(state: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     """Apply the one-period unitary n times to a state's amplitudes."""
-    if _as_int("n", n) < 0:
-        raise DomainError(f"kick count must be >= 0, got {n}")
+    _count("kick count", n, 0)
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DomainError(f"operator shape {u.shape} is not square")
@@ -327,9 +327,10 @@ def concurrence_sweep(
         raise DomainError("need at least one kappa0")
     if q.n_qubits < 2:
         raise DomainError(f"need at least 2 qubits for pairwise concurrence, got {q.n_qubits}")
-    if _as_int("n_max", n_max) < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    _count("n_max", n_max, 1)
     n = q.n_qubits
+    # the start checks theta0 and phi0, so bad angles fail before the blocks are built
+    start = _parity_coords(coherent_from_angles(n, theta0, phi0), n)
     blocks = _parity_blocks(q, p)
     h = blocks.shape[-1]
     torsion = _torsion(q, kappa0s)[:h]
@@ -338,7 +339,6 @@ def concurrence_sweep(
     phases = np.stack([torsion, torsion.conj() if n % 2 else torsion])
     # the real blocks of even N act on the real view, (2, h, 2K) floats
     operand = (lambda a: a) if n % 2 else (lambda a: a.view(float))
-    start = _parity_coords(coherent_from_angles(n, theta0, phi0), n)
     state = np.repeat(start[:, :, None], k, axis=2)
     block = max(1, KICK_BLOCK_AMPLITUDES // (q.dim * k))
     c = np.empty((n_max, k))
@@ -366,11 +366,13 @@ def concurrence_series(
     return series
 
 
+def _check_burn_in(burn_in: int, n_max: int) -> None:
+    """DomainError unless burn_in is an integer in 0..n_max-1, so it leaves an entry to average."""
+    if _count("burn_in", burn_in, 0) >= n_max:
+        raise DomainError(f"burn_in {burn_in} leaves no entries out of {n_max}")
+
+
 def time_average(series: ConcurrenceSeries, burn_in: int) -> float:
     """Mean concurrence over entries with kick index n > burn_in."""
-    if _as_int("burn_in", burn_in) < 0:
-        raise DomainError(f"burn_in must be >= 0, got {burn_in}")
-    tail = series.concurrence[burn_in:]
-    if tail.size == 0:
-        raise DomainError(f"burn_in {burn_in} leaves no entries out of {series.concurrence.size}")
-    return float(np.mean(tail))
+    _check_burn_in(burn_in, series.concurrence.size)
+    return float(np.mean(series.concurrence[burn_in:]))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .spin import _as_int, _ladder
+from .spin import _count, _ladder
 
 TRACE_TOL = 1e-10
 # Kick roundoff moves sum |a_n|^2 by up to about 6e-16 per kick, the same
@@ -228,21 +228,21 @@ def reduce_symmetric(exp: CollectiveExpectations) -> TwoQubitDensity:
     return TwoQubitDensity.from_matrix(np.moveaxis(rho, (0, 1), (-2, -1)))
 
 
-def epr_expectations(n_qubits: int) -> tuple[float, float]:
-    """<J1z J2z> and <J1+ J2+> in the diagonal two-ensemble state.
+def _epr_moments(n_qubits):
+    """<J1z J2z> = N(N+2)/12 and <J1+ J2+> = N(N+2)/6, for a count or an array of counts."""
+    j1z_j2z = n_qubits * (n_qubits + 2.0) / 12.0
+    return j1z_j2z, 2.0 * j1z_j2z
 
-    Both collapse to single sums over the diagonal amplitudes: the
-    state pairs level n with level n, so J1z J2z contributes m_n^2 and
-    J1+ J2+ couples (n, n) to (n+1, n+1) with the squared ladder
-    coefficient.
+
+def epr_expectations(n_qubits: int) -> tuple[float, float]:
+    """<J1z J2z> = j(j+1)/3 and <J1+ J2+> = 2j(j+1)/3 in the diagonal two-ensemble state.
+
+    The state pairs level n with level n, each with weight 1/(N+1), so the
+    moments are the level averages of m_n^2 and of the squared ladder
+    coefficient j(j+1) - m_n(m_n+1).
     """
-    if _as_int("n_qubits", n_qubits) < 1:
-        raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
-    m, c = _ladder(n_qubits)
-    dim = n_qubits + 1
-    j1z_j2z = float(np.sum(m * m) / dim)
-    j1p_j2p = float(np.sum(c * c) / dim)
-    return j1z_j2z, j1p_j2p
+    j1z_j2z, j1p_j2p = _epr_moments(_count("n_qubits", n_qubits, 1))
+    return float(j1z_j2z), float(j1p_j2p)
 
 
 def epr_reduce(n_qubits: int | Sequence[int]) -> TwoQubitDensity:
@@ -258,8 +258,8 @@ def epr_reduce(n_qubits: int | Sequence[int]) -> TwoQubitDensity:
         raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
     if counts.dtype.kind not in "iu":
         raise DomainError(f"n_qubits must be integers, got {n_qubits}")
-    n2 = counts * counts
-    j1z_j2z, j1p_j2p = np.array([epr_expectations(int(n)) for n in counts]).T
+    n2 = np.square(counts, dtype=float)  # an int64 square wraps past N = 3.04e9
+    j1z_j2z, j1p_j2p = _epr_moments(counts)
     w = 0.25 - j1z_j2z / n2
     u = j1p_j2p / n2
     v = (1 - 2 * w) / 2

@@ -29,6 +29,13 @@ def _as_int(name: str, value) -> int:
     return int(value)
 
 
+def _count(name: str, value, minimum: int) -> int:
+    """value as an int; DomainError unless it is an integer >= minimum."""
+    if _as_int(name, value) < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SpinQuantum:
     """Spin j = two_j/2 realized as N = two_j symmetric qubits."""
@@ -36,8 +43,7 @@ class SpinQuantum:
     two_j: int
 
     def __post_init__(self):
-        if _as_int("two_j", self.two_j) < 1:
-            raise DomainError(f"two_j must be >= 1, got {self.two_j}")
+        _count("two_j", self.two_j, 1)
 
     @property
     def j(self) -> float:
@@ -111,8 +117,7 @@ def spin_coherent(n_qubits: int, eta: complex) -> np.ndarray:
     positive.  eta = 0 is the bottom pole |n=0>; |eta| -> infinity
     approaches the top pole.
     """
-    if _as_int("n_qubits", n_qubits) < 1:
-        raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
+    _count("n_qubits", n_qubits, 1)
     if not cmath.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta}")
     return _product_state(n_qubits, complex(eta), 1.0)
@@ -127,8 +132,7 @@ def coherent_from_angles(n_qubits: int, theta: float, phi: float) -> np.ndarray:
     POLE_SNAP_TOL) snaps to the exact bottom basis state, where phi no
     longer matters.
     """
-    if _as_int("n_qubits", n_qubits) < 1:
-        raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
+    _count("n_qubits", n_qubits, 1)
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise DomainError(f"theta and phi must be finite, got ({theta}, {phi})")
     if abs(theta - math.pi) <= POLE_SNAP_TOL:

@@ -343,6 +343,20 @@ def test_qkt_sweep_rejects_a_negative_burn_in(capsys):
     assert err == "error: burn_in must be >= 0, got -3\n"
 
 
+@pytest.mark.parametrize(
+    "burn_in, message",
+    [("-3", "burn_in must be >= 0, got -3"), ("5", "burn_in 5 leaves no entries out of 5")],
+)
+def test_qkt_sweep_checks_the_burn_in_before_the_sweep(burn_in, message, capsys, monkeypatch):
+    def sweep_not_reached(*args, **kwargs):
+        raise AssertionError("the sweep ran before the burn-in was checked")
+
+    monkeypatch.setattr(cli, "concurrence_sweep", sweep_not_reached)
+    code, out, err = run_cli(capsys, "qkt-sweep", "--j", "1.5", "--n-max", "5", "--burn-in", burn_in)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_lyapunov_rows_and_running_column(capsys):
     code, out, _ = run_cli(
         capsys, "lyapunov", "--kappa0", "0,6", "--steps", "1000", "--seeds", "0"

@@ -189,6 +189,26 @@ def test_parity_blocks_are_the_g_basis_projection_of_the_complex_route(two_j):
         assert np.abs(blocks - projected).max() <= 1e-13
 
 
+@pytest.mark.parametrize("two_j", [1, 2, 3, 30, 31])
+def test_rotation_is_the_half_rotation_and_its_g_mirror(two_j):
+    q = SpinQuantum(two_j)
+    n = two_j
+    g = (-1.0) ** (n - np.arange(n + 1))
+    for p in (math.pi / 2.0, 0.37, 2.9):
+        r = kicked_top._rotation(q, p)
+        same, cross = kicked_top._half_rotation(q, p)
+        h = same.shape[0]
+        assert np.array_equal(r[:h, :h], same)
+        # cross[a, b] = g_b R[a, N-b]; for even N the middle column comes from same
+        low = n + 1 - h
+        assert np.array_equal(r[:h, ::-1][:, :low] * g[:low], cross[:, :low])
+        # G R G^T = R: exactly on the rows N-a mirrored from a < N/2, and to
+        # roundoff on the middle row of even N, whose halves come from same and cross
+        mirrored = g[:, None] * g * r
+        assert np.array_equal(r[::-1, ::-1][:low], mirrored[:low])
+        assert np.abs(r[::-1, ::-1] - mirrored).max() <= 1e-15
+
+
 def reference_sweep(q, unitaries, theta0, phi0, n_max):
     # the full-size loop: floquet(params) @ psi per kick, then the moments and wootters
     series = []
@@ -300,6 +320,16 @@ def test_series_validation():
         concurrence_series(KickedTopParams(SpinQuantum(3), 1.0), 0.0, 0.0, 0)
     with pytest.raises(DomainError):
         concurrence_sweep(SpinQuantum(3), [], 0.0, 0.0, 5)
+
+
+@pytest.mark.parametrize("theta0, phi0", [(math.nan, 0.0), (0.7, math.inf)])
+def test_bad_start_angles_fail_before_the_blocks_are_built(theta0, phi0, monkeypatch):
+    def blocks_not_reached(q, p):
+        raise AssertionError("the parity blocks were built before the start was checked")
+
+    monkeypatch.setattr(kicked_top, "_parity_blocks", blocks_not_reached)
+    with pytest.raises(DomainError, match=r"^theta and phi must be finite, got"):
+        concurrence_sweep(SpinQuantum(30), [1.0], theta0, phi0, 3)
 
 
 def test_time_average():

@@ -208,6 +208,14 @@ def test_epr_reduce_matches_bruteforce_partial_trace():
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def test_epr_reduce_beyond_the_int64_square():
+    # N^2 passes the int64 range from N = 3.04e9 on
+    counts = np.array([3_100_000_000, 2**32])
+    rho = epr_reduce(counts).rho
+    np.testing.assert_allclose(rho[:, 1, 1].real, 0.25 - (counts + 2) / (12.0 * counts), rtol=1e-15)
+    np.testing.assert_allclose(rho[:, 0, 3].real, (counts + 2) / (6.0 * counts), rtol=1e-15)
+
+
 def test_epr_reduce_structure():
     dm = epr_reduce(4)
     assert abs(dm.x_plus) < 1e-15 and abs(dm.x_minus) < 1e-15

@@ -84,6 +84,33 @@ def test_counts_must_be_integers(make):
         np.testing.assert_array_equal(make(count), make(3))
 
 
+# the callables of test_counts_must_be_integers, by their ids
+_COUNT_MARK = test_counts_must_be_integers.pytestmark[0]
+COUNT_MAKERS = dict(zip(_COUNT_MARK.kwargs["ids"], _COUNT_MARK.args[1]))
+
+
+@pytest.mark.parametrize(
+    "maker, count, message",
+    [
+        ("SpinQuantum", 0, "two_j must be >= 1, got 0"),
+        ("spin_coherent", 0, "n_qubits must be >= 1, got 0"),
+        ("coherent_from_angles", 0, "n_qubits must be >= 1, got 0"),
+        ("epr_expectations", 0, "n_qubits must be >= 1, got 0"),
+        ("concurrence_sweep-n_max", 0, "n_max must be >= 1, got 0"),
+        ("time_average-burn_in", -1, "burn_in must be >= 0, got -1"),
+        ("evolve-n", -1, "kick count must be >= 0, got -1"),
+        ("lyapunov_running-steps", 0, "steps must be >= 1000, got 0"),
+        ("chebyshev_table-n_max", -1, "n_max must be >= 0, got -1"),
+        ("chebyshev_step-n", -1, "kick count must be >= 0, got -1"),
+        ("analytic_concurrence_series-n_max", 0, "n_max must be >= 1, got 0"),
+        ("analytic_concurrence-n", 0, "kick count must be >= 1, got 0"),
+    ],
+)
+def test_counts_below_their_minimum(maker, count, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        COUNT_MAKERS[maker](count)
+
+
 def test_single_qubit_operators_are_pauli_halves():
     # basis ascending in m: index 0 = |1> (m=-1/2), index 1 = |0> (m=+1/2)
     ops = collective_operators(SpinQuantum(1))
