@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .kicked_top import KickedTopParams, floquet
 from .pairwise import TwoQubitDensity
-from .spin import SpinQuantum, _count
+from .spin import SpinQuantum, _count, _real
 
 BLOCK_LEAKAGE_TOL = 1e-9
 
@@ -101,8 +101,7 @@ def chebyshev_table(n_max: int, kappa0: float) -> tuple[np.ndarray, np.ndarray]:
     well-conditioned since |chi| <= 1/2.
     """
     _count("n_max", n_max, 0)
-    if not (math.isfinite(kappa0) and kappa0 >= 0.0):
-        raise DomainError(f"kappa0 must be finite and >= 0, got {kappa0}")
+    _real("kappa0", kappa0, 0)
     chi = math.sin(kappa0 / 3.0) / 2.0
     t = np.empty(n_max + 1)
     u = np.empty(n_max + 1)

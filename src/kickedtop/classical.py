@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NumericalError
-from .spin import _as_int, _count
+from .spin import _as_int, _count, _real
 
 SPHERE_TOL = 1e-9
 TANGENT_TOL = 1e-9
@@ -57,8 +57,8 @@ def _sphere_point(pt) -> Vec3:
 
 
 def _check_params(kappa0: float, p: float) -> None:
-    if not (math.isfinite(kappa0) and kappa0 >= 0.0 and math.isfinite(p)):
-        raise DomainError(f"kappa0 must be finite and >= 0 and p finite, got ({kappa0}, {p})")
+    _real("kappa0", kappa0, 0)
+    _real("p", p)
 
 
 def classical_map(pt, kappa0: float, p: float) -> Vec3:

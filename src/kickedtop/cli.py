@@ -37,6 +37,7 @@ from .classical import lyapunov_running
 from .concurrence import dicke_concurrence_closed, wootters
 from .errors import DomainError, NumericalError
 from .kicked_top import (
+    DEFAULT_PRECESSION,
     KICK_BLOCK_AMPLITUDES,
     KickedTopParams,
     _check_burn_in,
@@ -45,7 +46,7 @@ from .kicked_top import (
     time_average,
 )
 from .pairwise import collective_expectations, epr_reduce, reduce_symmetric
-from .spin import SpinQuantum, number_state, spin_coherent
+from .spin import SpinQuantum, _count, _real, number_state, spin_coherent
 
 SWEEP_GRID_POINTS = 25
 # Largest 2j or N accepted: at 2j = 4095 and 4096 building the rotation's
@@ -123,18 +124,13 @@ def _emit(
         raise DomainError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
-def _int_list(text: str) -> list[int]:
+def _list(text: str, kind: type = float) -> list:
+    """The non-blank comma-separated tokens of text, each read by kind (int or float)."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise DomainError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise DomainError(f"expected comma-separated numbers, got {text!r}") from exc
+        noun = "integers" if kind is int else "numbers"
+        raise DomainError(f"expected comma-separated {noun}, got {text!r}") from exc
 
 
 def _check_size(count: int, cap: int = MAX_QUBITS, unit: str = "qubits") -> None:
@@ -143,20 +139,17 @@ def _check_size(count: int, cap: int = MAX_QUBITS, unit: str = "qubits") -> None
 
 
 def _qubit_count(n_qubits: int, minimum: int) -> int:
-    if n_qubits < minimum:
-        raise DomainError(f"N must be >= {minimum}")
-    _check_size(n_qubits)
+    _check_size(_count("N", n_qubits, minimum))
     return n_qubits
 
 
 def _qubit_counts(text: str, minimum: int) -> list[int]:
     """Sorted counts from a comma-separated list, each checked before any is used."""
-    return [_qubit_count(n_qubits, minimum) for n_qubits in sorted(_int_list(text))]
+    return [_qubit_count(n_qubits, minimum) for n_qubits in sorted(_list(text, int))]
 
 
 def _spin_from_j(j: float) -> SpinQuantum:
-    if not math.isfinite(j):
-        raise DomainError(f"j must be finite, got {j}")
+    _real("j", j)
     # round() raises OverflowError on an infinite 2j: cap j, and clamp it at 0
     if j > MAX_QUBITS:
         raise DomainError(f"j = {j} exceeds the cap of {MAX_QUBITS} qubits")
@@ -172,8 +165,8 @@ def _resolve_kappa0(kappa0: str | None, kappa: str | None) -> list[float]:
     if (kappa0 is None) == (kappa is None):
         raise DomainError("give exactly one of --kappa0 and --kappa")
     if kappa0 is not None:
-        return _float_list(kappa0)
-    return [6.0 * k for k in _float_list(kappa)]
+        return _list(kappa0)
+    return [6.0 * k for k in _list(kappa)]
 
 
 def _resolve_kappa0_single(kappa0: str | None, kappa: str | None) -> float:
@@ -200,11 +193,8 @@ def _pair_wootters(
 
 
 def cmd_dicke(args) -> None:
-    for bound in (args.M_min, args.M_max):
-        if bound is not None and not math.isfinite(bound):
-            raise DomainError(f"M bounds must be finite, got {bound}")
-    lo = -math.inf if args.M_min is None else args.M_min - 1e-12
-    hi = math.inf if args.M_max is None else args.M_max + 1e-12
+    lo = -math.inf if args.M_min is None else _real("M bounds", args.M_min) - 1e-12
+    hi = math.inf if args.M_max is None else _real("M bounds", args.M_max) + 1e-12
     blocks = []
     for n_qubits in _qubit_counts(args.N, 2):
         levels = [n for n in range(n_qubits + 1) if lo <= n - n_qubits / 2 <= hi]
@@ -224,7 +214,7 @@ def cmd_epr(args) -> None:
 
 def cmd_coherent(args) -> None:
     n_qubits = _qubit_count(args.N, 2)
-    etas = sorted(_float_list(args.eta))
+    etas = sorted(_list(args.eta))
     results = _pair_wootters((spin_coherent(n_qubits, eta) for eta in etas), n_qubits)
     c_lambdas = [c_lambda for _, c_lambda in results]
     _emit(["eta", "c_lambda"], [((), zip(etas, c_lambdas))], args.out)
@@ -269,11 +259,11 @@ def cmd_analytic3(args) -> None:
 def cmd_lyapunov(args) -> None:
     _check_size(args.steps, MAX_STEPS, "steps")
     grid = sorted(_resolve_kappa0(args.kappa0, args.kappa))
-    seeds = sorted(_int_list(args.seeds))
+    seeds = sorted(_list(args.seeds, int))
     # every run's list is held until the write, so the cap is on their total
     _check_size(len(grid) * len(seeds) * args.steps, MAX_STEPS, "steps over all runs")
     runs = [
-        ((kappa0, seed), lyapunov_running(kappa0, math.pi / 2.0, LYAPUNOV_START, args.steps, seed=seed))
+        ((kappa0, seed), lyapunov_running(kappa0, DEFAULT_PRECESSION, LYAPUNOV_START, args.steps, seed=seed))
         for kappa0 in grid
         for seed in seeds
     ]
@@ -287,6 +277,12 @@ def _add_kappa_flags(p: argparse.ArgumentParser, as_list: bool) -> None:
     p.add_argument("--kappa", help=f"alternative scaling kappa = kappa0/6 ({hint})")
 
 
+def _add_float_flag(p: argparse.ArgumentParser, flag: str, text: str, **kwargs) -> None:
+    # argparse takes a separate "-1e-3" or "-inf" for an option name, not a value
+    hint = f"; give a negative value with an exponent or -inf as {flag}=-1e-3"
+    p.add_argument(flag, type=float, help=text + hint, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kickedtop",
@@ -297,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dicke", help="columns N,M,C_closed,C_numeric over a Dicke-state sweep")
     p.add_argument("--N", required=True, help="comma-separated qubit counts, each >= 2")
-    p.add_argument("--M-min", dest="M_min", type=float, help="lowest M to include")
-    p.add_argument("--M-max", dest="M_max", type=float, help="highest M to include")
+    _add_float_flag(p, "--M-min", "lowest M to include", dest="M_min")
+    _add_float_flag(p, "--M-max", "highest M to include", dest="M_max")
     p.set_defaults(func=cmd_dicke)
 
     p = sub.add_parser("epr", help="columns N,C for the shared singlet-pair ensemble")
@@ -313,16 +309,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qkt-series", help="columns n,C (plus C_analytic when 2j = 3)")
     p.add_argument("--j", required=True, type=float, help="spin size, half-integer")
     _add_kappa_flags(p, as_list=False)
-    p.add_argument("--theta0", type=float, default=0.0, help="initial polar angle")
-    p.add_argument("--phi0", type=float, default=0.0, help="initial azimuth")
+    _add_float_flag(p, "--theta0", "initial polar angle", default=0.0)
+    _add_float_flag(p, "--phi0", "initial azimuth", default=0.0)
     p.add_argument("--n-max", dest="n_max", required=True, type=int, help="number of kicks")
     p.set_defaults(func=cmd_qkt_series)
 
     p = sub.add_parser("qkt-sweep", help="columns kappa0,C_timeavg over a kappa0 grid")
     p.add_argument("--j", required=True, type=float, help="spin size, half-integer")
     _add_kappa_flags(p, as_list=True)
-    p.add_argument("--theta0", type=float, default=0.0, help="initial polar angle")
-    p.add_argument("--phi0", type=float, default=0.0, help="initial azimuth")
+    _add_float_flag(p, "--theta0", "initial polar angle", default=0.0)
+    _add_float_flag(p, "--phi0", "initial azimuth", default=0.0)
     p.add_argument("--n-max", dest="n_max", required=True, type=int, help="kicks per point")
     p.add_argument("--burn-in", dest="burn_in", type=int, default=0, help="kicks dropped from the average")
     p.set_defaults(func=cmd_qkt_sweep)

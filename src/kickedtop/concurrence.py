@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .pairwise import TwoQubitDensity
+from .spin import _count, _real
 
 _EPS = float(np.finfo(float).eps)
 
@@ -171,10 +172,8 @@ def dicke_concurrence_closed(n_qubits: int, m: float) -> float:
     integers once 2M is, so the special values C(N, 0) = 1/(N-1) and
     C(N, +-(N/2 - 1)) = 2/N come out exact to the last float digit.
     """
-    if n_qubits < 2:
-        raise DomainError(f"need at least 2 qubits, got {n_qubits}")
-    if not math.isfinite(m):
-        raise DomainError(f"M must be finite, got {m}")
+    n_qubits = _count("n_qubits", n_qubits, 2)
+    _real("M", m)
     two_m = 2.0 * m
     two_m_int = round(two_m)
     if abs(two_m - two_m_int) > 1e-9:

@@ -51,7 +51,7 @@ import numpy as np
 from .concurrence import wootters
 from .errors import DomainError
 from .pairwise import collective_expectations, reduce_symmetric
-from .spin import SpinQuantum, _count, _ladder, coherent_from_angles
+from .spin import SpinQuantum, _count, _ladder, _real, coherent_from_angles
 
 DEFAULT_PRECESSION = math.pi / 2.0
 
@@ -88,13 +88,11 @@ class KickedTopParams:
     p: float = DEFAULT_PRECESSION
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.kappa0) or self.kappa0 < 0.0:
-            raise DomainError(f"kappa0 must be finite and >= 0, got {self.kappa0}")
+        _real("kappa0", self.kappa0, 0)
         # _torsion forms kappa0 m^2 before it divides by 2j, and m^2 <= j^2
         if not math.isfinite(self.kappa0 * self.q.j**2):
             raise DomainError(f"kappa0 * j^2 = {self.kappa0} * {self.q.j**2} overflows the float range")
-        if not math.isfinite(self.p):
-            raise DomainError(f"p must be finite, got {self.p}")
+        _real("p", self.p)
 
 
 @dataclass(frozen=True)
@@ -325,10 +323,8 @@ def concurrence_sweep(
     params = [KickedTopParams(q, kappa0, p) for kappa0 in kappa0s]
     if not params:
         raise DomainError("need at least one kappa0")
-    if q.n_qubits < 2:
-        raise DomainError(f"need at least 2 qubits for pairwise concurrence, got {q.n_qubits}")
+    n = _count("n_qubits", q.n_qubits, 2)
     _count("n_max", n_max, 1)
-    n = q.n_qubits
     # the start checks theta0 and phi0, so bad angles fail before the blocks are built
     start = _parity_coords(coherent_from_angles(n, theta0, phi0), n)
     blocks = _parity_blocks(q, p)

@@ -55,12 +55,12 @@ class CollectiveExpectations:
     splus_sz_anti: complex | np.ndarray    # <[S+, Sz]_+>
 
 
-def _check_rows(ok: np.ndarray, single: bool, message) -> None:
-    """Raise NumericalError for the first row where ok is False; name the row in a stack."""
+def _check_rows(ok: np.ndarray, single: bool, message, error=NumericalError) -> None:
+    """Raise error for the first row where ok is False; name the row in a stack."""
     if ok.all():
         return
     i = int(np.argmin(ok))
-    raise NumericalError(message(i) if single else f"row {i}: {message(i)}")
+    raise error(message(i) if single else f"row {i}: {message(i)}")
 
 
 @dataclass(frozen=True)
@@ -164,12 +164,13 @@ def collective_expectations(state: np.ndarray) -> CollectiveExpectations:
     j(j+1) - <Sz^2>, exact on the symmetric subspace.
 
     A state whose sum |a_n|^2 is off 1 by more than NORM_TOL raises
-    DomainError: its moments would give a pair matrix whose trace is
-    not 1, reported later as a numerical failure, or, for the zero
-    vector, a plausible-looking matrix with no error at all.  A NaN
-    amplitude, which only a failed computation makes, passes this check
-    and fails the Hermiticity check of TwoQubitDensity.from_matrix as a
-    NumericalError.
+    DomainError, and nothing later would catch it: the trace of the
+    pair matrix of reduce_symmetric, v+ + v- + 2w = (4N^2 - 4N) /
+    (4N(N-1)), is 1 for any moments, so an unnormalised state, the zero
+    vector among them, gives a plausible-looking matrix or fails only
+    the positivity check.  A NaN amplitude, which only a failed
+    computation makes, passes this check and fails the Hermiticity
+    check of TwoQubitDensity.from_matrix as a NumericalError.
     """
     amps = np.asarray(state, dtype=complex)
     if amps.ndim not in (1, 2):
@@ -180,11 +181,9 @@ def collective_expectations(state: np.ndarray) -> CollectiveExpectations:
     j = n / 2
     prob = a.real**2 + a.imag**2
     norm2 = prob.sum(axis=-1)
-    off = np.abs(norm2 - 1.0) > NORM_TOL
-    if off.any():
-        i = int(np.argmax(off))
-        where = "" if amps.ndim == 1 else f"row {i}: "
-        raise DomainError(f"{where}squared amplitudes sum to {float(norm2[i])!r}, not 1")
+    # written as not-above, so that a NaN passes on to the Hermiticity check
+    _check_rows(~(np.abs(norm2 - 1.0) > NORM_TOL), amps.ndim == 1,
+                lambda i: f"squared amplitudes sum to {float(norm2[i])!r}, not 1", DomainError)
     hop = c * a[:, 1:].conj() * a[:, :-1]
     sz2 = (prob * (m * m)).sum(axis=-1)
     moments = {
@@ -205,9 +204,7 @@ def reduce_symmetric(exp: CollectiveExpectations) -> TwoQubitDensity:
 
     Moments of a stack of states give a (T, 4, 4) stack of matrices.
     """
-    n = exp.n_qubits
-    if n < 2:
-        raise DomainError(f"need at least 2 qubits, got {n}")
+    n = _count("n_qubits", exp.n_qubits, 2)
     denom4 = 4 * n * (n - 1)
     v_plus = (n * n - 2 * n + 4 * exp.sz2 + 4 * exp.sz * (n - 1)) / denom4
     v_minus = (n * n - 2 * n + 4 * exp.sz2 - 4 * exp.sz * (n - 1)) / denom4

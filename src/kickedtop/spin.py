@@ -31,9 +31,18 @@ def _as_int(name: str, value) -> int:
 
 def _count(name: str, value, minimum: int) -> int:
     """value as an int; DomainError unless it is an integer >= minimum."""
-    if _as_int(name, value) < minimum:
+    count = _as_int(name, value)
+    if count < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
+    return count
+
+
+def _real(name: str, value, minimum: float | None = None) -> float:
+    """value as a float; DomainError unless it is finite and, given a minimum, >= minimum."""
+    if not (math.isfinite(value) and (minimum is None or value >= minimum)):
+        bound = "" if minimum is None else f" and >= {minimum}"
+        raise DomainError(f"{name} must be finite{bound}, got {value}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -133,8 +142,8 @@ def coherent_from_angles(n_qubits: int, theta: float, phi: float) -> np.ndarray:
     longer matters.
     """
     _count("n_qubits", n_qubits, 1)
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise DomainError(f"theta and phi must be finite, got ({theta}, {phi})")
+    _real("theta", theta)
+    _real("phi", phi)
     if abs(theta - math.pi) <= POLE_SNAP_TOL:
         return number_state(n_qubits, 0)
     return _product_state(

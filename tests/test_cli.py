@@ -84,7 +84,7 @@ def test_dicke_rejects_single_qubit(capsys):
     code, out, err = run_cli(capsys, "dicke", "--N", "1")
     assert code == 2
     assert out == ""
-    assert "N must be >= 2" in err
+    assert err == "error: N must be >= 2, got 1\n"
 
 
 def test_dicke_at_a_thousand_qubits_matches_the_closed_form(capsys):
@@ -143,6 +143,24 @@ def test_torsion_overflow_exits_two(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: kappa0 * j^2 = ") and err.endswith(" overflows the float range\n")
     assert err.count("\n") == 1
+
+
+def test_a_negative_value_with_an_exponent_needs_the_equals_form(capsys):
+    # argparse reads a separate "-1e-3" or "-inf" as an option name
+    argv = ("qkt-series", "--j", "1.5", "--kappa0", "1", "--n-max", "3")
+    code, out, err = run_cli(capsys, *argv, "--theta0=-1e-3")
+    assert code == 0 and err == "" and out.count("\n") == 4
+    assert run_cli(capsys, *argv, "--theta0", "-0.001") == (0, out, "")
+    for flag, value in (("--theta0", "-1e-3"), ("--phi0", "-inf")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, flag, value])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+def test_a_single_qubit_spin_exits_two_with_the_count_message(capsys):
+    code, out, err = run_cli(capsys, "qkt-series", "--j", "0.5", "--kappa0", "1", "--n-max", "2")
+    assert (code, out, err) == (2, "", "error: n_qubits must be >= 2, got 1\n")
 
 
 @pytest.mark.parametrize(
@@ -220,7 +238,7 @@ def test_epr_values_at_full_precision(capsys):
 
 def test_epr_rejects_zero(capsys):
     code, _, err = run_cli(capsys, "epr", "--N", "0")
-    assert code == 2 and "N must be >= 1" in err
+    assert code == 2 and err == "error: N must be >= 1, got 0\n"
 
 
 def test_coherent_emits_non_positive_c_lambda(capsys):

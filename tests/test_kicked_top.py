@@ -322,14 +322,24 @@ def test_series_validation():
         concurrence_sweep(SpinQuantum(3), [], 0.0, 0.0, 5)
 
 
-@pytest.mark.parametrize("theta0, phi0", [(math.nan, 0.0), (0.7, math.inf)])
-def test_bad_start_angles_fail_before_the_blocks_are_built(theta0, phi0, monkeypatch):
+@pytest.mark.parametrize(
+    "theta0, phi0, message",
+    [(math.nan, 0.0, "theta must be finite, got nan"), (0.7, math.inf, "phi must be finite, got inf")],
+    ids=["nan-0.0", "0.7-inf"],
+)
+def test_bad_start_angles_fail_before_the_blocks_are_built(theta0, phi0, message, monkeypatch):
     def blocks_not_reached(q, p):
         raise AssertionError("the parity blocks were built before the start was checked")
 
     monkeypatch.setattr(kicked_top, "_parity_blocks", blocks_not_reached)
-    with pytest.raises(DomainError, match=r"^theta and phi must be finite, got"):
+    with pytest.raises(DomainError, match=f"^{message}$"):
         concurrence_sweep(SpinQuantum(30), [1.0], theta0, phi0, 3)
+
+
+def test_a_single_qubit_fails_before_the_blocks_are_built(monkeypatch):
+    monkeypatch.setattr(kicked_top, "_parity_blocks", None)
+    with pytest.raises(DomainError, match=r"^n_qubits must be >= 2, got 1$"):
+        concurrence_sweep(SpinQuantum(1), [1.0], 0.0, 0.0, 3)
 
 
 def test_time_average():

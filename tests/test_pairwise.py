@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kickedtop import (
+    CollectiveExpectations,
     DomainError,
     NumericalError,
     SpinQuantum,
@@ -120,6 +121,24 @@ def test_unnormalised_states_are_domain_errors():
         collective_expectations(stack)
     # a drift of 1e-7, far above the roundoff of 1e7 kicks, still passes
     collective_expectations(number_state(3, 1) * math.sqrt(1.0 + 1e-7))
+
+
+def test_the_pair_trace_is_one_for_any_moments():
+    # v+ + v- + 2w = (4N^2 - 4N) / (4N(N-1)) whatever the moments, so the
+    # norm check of collective_expectations is the only guard against an
+    # unnormalised state.  Moments built by hand skip that check.
+    n, j = 10, 5.0
+    # the zero vector, and 1.4 times the squared amplitudes of (|4> + |6>)/sqrt(2)
+    zero = CollectiveExpectations(n, 0.0, 0.0, j * (j + 1), 0j, 0j, 0j)
+    heavy = CollectiveExpectations(n, 0.0, 1.4, j * (j + 1) - 1.4, 0j, 1.4 * 15 + 0j, 0j)
+    for moments in (zero, heavy):
+        rho = reduce_symmetric(moments).rho
+        assert abs(np.trace(rho) - 1.0) <= 1e-15
+    # <Sz^2> = 40 exceeds N^2/4 = 25, so w < 0: the matrix keeps trace 1 and
+    # fails only the positivity check, which runs after the trace check
+    beyond = CollectiveExpectations(n, 0.0, 40.0, j * (j + 1) - 40.0, 0j, 0j, 0j)
+    with pytest.raises(NumericalError, match=r"^eigenvalue -3\.333e-01 below"):
+        reduce_symmetric(beyond)
 
 
 def test_from_matrix_validation():

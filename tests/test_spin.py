@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kickedtop import (
+    CollectiveExpectations,
     DomainError,
     KickedTopParams,
     SpinQuantum,
@@ -13,10 +14,12 @@ from kickedtop import (
     analytic_concurrence_series,
     chebyshev_step,
     chebyshev_table,
+    classical_map,
     coherent_from_angles,
     collective_expectations,
     concurrence_series,
     concurrence_sweep,
+    dicke_concurrence_closed,
     epr_expectations,
     epr_reduce,
     evolve,
@@ -24,9 +27,11 @@ from kickedtop import (
     lyapunov,
     lyapunov_running,
     number_state,
+    reduce_symmetric,
     spin_coherent,
     time_average,
 )
+from kickedtop.cli import build_parser
 from dense_spin import collective_operators, jvec
 from oracles import embed_symmetric
 
@@ -46,47 +51,73 @@ def test_spin_quantum_properties_and_validation():
         SpinQuantum(0)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda n: SpinQuantum(n).dim,
-        lambda n: number_state(n, 1),
-        lambda n: number_state(4, n),
-        lambda n: spin_coherent(n, 0.8),
-        lambda n: coherent_from_angles(n, 0.7, 0.3),
-        lambda n: epr_expectations(n),
-        lambda n: epr_reduce(n).rho,
-        lambda n: epr_reduce([2, n]).rho,
+def moments_of_the_bottom_state(n):
+    """The moments of |n=0>, m = -N/2, built by hand for a count n."""
+    return CollectiveExpectations(n, -n / 2, n * n / 4, n / 2, 0j, 0j, 0j)
+
+
+def run_command(*argv):
+    """Parse argv and run its subcommand, so that a DomainError propagates."""
+    args = build_parser().parse_args(argv)
+    args.func(args)
+
+
+# One callable per count rule, keyed by test id; each passes its argument
+# as the count under test.
+COUNT_MAKERS = {
+    "SpinQuantum": lambda n: SpinQuantum(n).dim,
+    "number_state-N": lambda n: number_state(n, 1),
+    "number_state-n": lambda n: number_state(4, n),
+    "spin_coherent": lambda n: spin_coherent(n, 0.8),
+    "coherent_from_angles": lambda n: coherent_from_angles(n, 0.7, 0.3),
+    "epr_expectations": lambda n: epr_expectations(n),
+    "epr_reduce": lambda n: epr_reduce(n).rho,
+    "epr_reduce-list": lambda n: epr_reduce([2, n]).rho,
+    "concurrence_sweep-n_max":
         lambda n: concurrence_sweep(SpinQuantum(2), [1.0], 0.3, 0.0, n)[0].concurrence,
-        lambda n: kicked_series(n).concurrence,
-        lambda n: time_average(kicked_series(5), n),
+    "concurrence_sweep-n_qubits":
+        lambda n: concurrence_sweep(SpinQuantum(n), [1.0], 0.3, 0.0, 3)[0].concurrence,
+    "concurrence_series-n_max": lambda n: kicked_series(n).concurrence,
+    "time_average-burn_in": lambda n: time_average(kicked_series(5), n),
+    "evolve-n":
         lambda n: evolve(number_state(2, 0), floquet(KickedTopParams(SpinQuantum(2), 1.0)), n),
-        lambda n: lyapunov_running(1.0, math.pi / 2, LYAPUNOV_START, 1000 * n),
+    "lyapunov_running-steps": lambda n: lyapunov_running(1.0, math.pi / 2, LYAPUNOV_START, 1000 * n),
+    "lyapunov_running-transient":
         lambda n: lyapunov_running(1.0, math.pi / 2, LYAPUNOV_START, 1000, transient=n),
-        lambda n: lyapunov(1.0, math.pi / 2, LYAPUNOV_START, 1000 * n).lam,
-        lambda n: lyapunov(1.0, math.pi / 2, LYAPUNOV_START, 1000, seed=n).lam,
-        lambda n: chebyshev_table(n, 1.0),
-        lambda n: chebyshev_step(n, 1.0).alpha,
-        lambda n: analytic_concurrence_series(n, 1.0),
-        lambda n: analytic_concurrence(n, 1.0),
-    ],
-    ids=["SpinQuantum", "number_state-N", "number_state-n", "spin_coherent",
-         "coherent_from_angles", "epr_expectations", "epr_reduce", "epr_reduce-list",
-         "concurrence_sweep-n_max", "concurrence_series-n_max", "time_average-burn_in",
-         "evolve-n", "lyapunov_running-steps", "lyapunov_running-transient", "lyapunov-steps",
-         "lyapunov-seed", "chebyshev_table-n_max", "chebyshev_step-n",
-         "analytic_concurrence_series-n_max", "analytic_concurrence-n"],
-)
-def test_counts_must_be_integers(make):
+    "lyapunov-steps": lambda n: lyapunov(1.0, math.pi / 2, LYAPUNOV_START, 1000 * n).lam,
+    "lyapunov-seed": lambda n: lyapunov(1.0, math.pi / 2, LYAPUNOV_START, 1000, seed=n).lam,
+    "chebyshev_table-n_max": lambda n: chebyshev_table(n, 1.0),
+    "chebyshev_step-n": lambda n: chebyshev_step(n, 1.0).alpha,
+    "analytic_concurrence_series-n_max": lambda n: analytic_concurrence_series(n, 1.0),
+    "analytic_concurrence-n": lambda n: analytic_concurrence(n, 1.0),
+    "dicke_concurrence_closed": lambda n: dicke_concurrence_closed(n, 0.5),
+    "reduce_symmetric": lambda n: reduce_symmetric(moments_of_the_bottom_state(n)).rho,
+}
+
+# One callable per finite-real rule, keyed by test id; each passes its
+# argument as the real number under test.
+REAL_MAKERS = {
+    "KickedTopParams-kappa0": lambda x: KickedTopParams(SpinQuantum(2), x),
+    "KickedTopParams-p": lambda x: KickedTopParams(SpinQuantum(2), 1.0, x),
+    "classical-kappa0": lambda x: classical_map((0.0, 0.0, 1.0), x, math.pi / 2),
+    "classical-p": lambda x: classical_map((0.0, 0.0, 1.0), 1.0, x),
+    "chebyshev_table-kappa0": lambda x: chebyshev_table(3, x),
+    "coherent_from_angles-theta": lambda x: coherent_from_angles(3, x, 0.3),
+    "coherent_from_angles-phi": lambda x: coherent_from_angles(3, 0.7, x),
+    "dicke_concurrence_closed-M": lambda x: dicke_concurrence_closed(4, x),
+    "cli-j": lambda x: run_command("qkt-series", "--j", str(x), "--kappa0", "1", "--n-max", "2"),
+    "cli-M_min": lambda x: run_command("dicke", "--N", "4", "--M-min", str(x)),
+    "cli-M_max": lambda x: run_command("dicke", "--N", "4", "--M-max", str(x)),
+}
+
+
+@pytest.mark.parametrize("maker", list(COUNT_MAKERS))
+def test_counts_must_be_integers(maker):
+    make = COUNT_MAKERS[maker]
     with pytest.raises(DomainError, match=r"must be (an )?integers?, got"):
         make(2.5)
     for count in (np.int64(3), np.int32(3)):
         np.testing.assert_array_equal(make(count), make(3))
-
-
-# the callables of test_counts_must_be_integers, by their ids
-_COUNT_MARK = test_counts_must_be_integers.pytestmark[0]
-COUNT_MAKERS = dict(zip(_COUNT_MARK.kwargs["ids"], _COUNT_MARK.args[1]))
 
 
 @pytest.mark.parametrize(
@@ -97,6 +128,7 @@ COUNT_MAKERS = dict(zip(_COUNT_MARK.kwargs["ids"], _COUNT_MARK.args[1]))
         ("coherent_from_angles", 0, "n_qubits must be >= 1, got 0"),
         ("epr_expectations", 0, "n_qubits must be >= 1, got 0"),
         ("concurrence_sweep-n_max", 0, "n_max must be >= 1, got 0"),
+        ("concurrence_sweep-n_qubits", 1, "n_qubits must be >= 2, got 1"),
         ("time_average-burn_in", -1, "burn_in must be >= 0, got -1"),
         ("evolve-n", -1, "kick count must be >= 0, got -1"),
         ("lyapunov_running-steps", 0, "steps must be >= 1000, got 0"),
@@ -104,11 +136,35 @@ COUNT_MAKERS = dict(zip(_COUNT_MARK.kwargs["ids"], _COUNT_MARK.args[1]))
         ("chebyshev_step-n", -1, "kick count must be >= 0, got -1"),
         ("analytic_concurrence_series-n_max", 0, "n_max must be >= 1, got 0"),
         ("analytic_concurrence-n", 0, "kick count must be >= 1, got 0"),
+        ("dicke_concurrence_closed", 1, "n_qubits must be >= 2, got 1"),
+        ("reduce_symmetric", 1, "n_qubits must be >= 2, got 1"),
     ],
 )
 def test_counts_below_their_minimum(maker, count, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         COUNT_MAKERS[maker](count)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "maker, message",
+    [
+        ("KickedTopParams-kappa0", "kappa0 must be finite and >= 0, got {}"),
+        ("KickedTopParams-p", "p must be finite, got {}"),
+        ("classical-kappa0", "kappa0 must be finite and >= 0, got {}"),
+        ("classical-p", "p must be finite, got {}"),
+        ("chebyshev_table-kappa0", "kappa0 must be finite and >= 0, got {}"),
+        ("coherent_from_angles-theta", "theta must be finite, got {}"),
+        ("coherent_from_angles-phi", "phi must be finite, got {}"),
+        ("dicke_concurrence_closed-M", "M must be finite, got {}"),
+        ("cli-j", "j must be finite, got {}"),
+        ("cli-M_min", "M bounds must be finite, got {}"),
+        ("cli-M_max", "M bounds must be finite, got {}"),
+    ],
+)
+def test_reals_must_be_finite(maker, message, value):
+    with pytest.raises(DomainError, match=f"^{message.format(value)}$"):
+        REAL_MAKERS[maker](value)
 
 
 def test_single_qubit_operators_are_pauli_halves():
