@@ -124,7 +124,7 @@ def _emit(
         raise DomainError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
-def _list(text: str, kind: type = float) -> list:
+def _list(text: str, kind: type) -> list:
     """The non-blank comma-separated tokens of text, each read by kind (int or float)."""
     try:
         return [kind(tok) for tok in text.split(",") if tok.strip()]
@@ -165,8 +165,8 @@ def _resolve_kappa0(kappa0: str | None, kappa: str | None) -> list[float]:
     if (kappa0 is None) == (kappa is None):
         raise DomainError("give exactly one of --kappa0 and --kappa")
     if kappa0 is not None:
-        return _list(kappa0)
-    return [6.0 * k for k in _list(kappa)]
+        return _list(kappa0, float)
+    return [6.0 * k for k in _list(kappa, float)]
 
 
 def _resolve_kappa0_single(kappa0: str | None, kappa: str | None) -> float:
@@ -214,7 +214,7 @@ def cmd_epr(args) -> None:
 
 def cmd_coherent(args) -> None:
     n_qubits = _qubit_count(args.N, 2)
-    etas = sorted(_list(args.eta))
+    etas = sorted(_list(args.eta, float))
     results = _pair_wootters((spin_coherent(n_qubits, eta) for eta in etas), n_qubits)
     c_lambdas = [c_lambda for _, c_lambda in results]
     _emit(["eta", "c_lambda"], [((), zip(etas, c_lambdas))], args.out)
@@ -278,7 +278,7 @@ def _add_kappa_flags(p: argparse.ArgumentParser, as_list: bool) -> None:
 
 
 def _add_float_flag(p: argparse.ArgumentParser, flag: str, text: str, **kwargs) -> None:
-    # argparse takes a separate "-1e-3" or "-inf" for an option name, not a value
+    # argparse takes a separate "-inf", and on some versions "-1e-3", for an option name
     hint = f"; give a negative value with an exponent or -inf as {flag}=-1e-3"
     p.add_argument(flag, type=float, help=text + hint, **kwargs)
 

@@ -146,16 +146,15 @@ def test_torsion_overflow_exits_two(capsys, argv):
 
 
 def test_a_negative_value_with_an_exponent_needs_the_equals_form(capsys):
-    # argparse reads a separate "-1e-3" or "-inf" as an option name
     argv = ("qkt-series", "--j", "1.5", "--kappa0", "1", "--n-max", "3")
     code, out, err = run_cli(capsys, *argv, "--theta0=-1e-3")
     assert code == 0 and err == "" and out.count("\n") == 4
     assert run_cli(capsys, *argv, "--theta0", "-0.001") == (0, out, "")
-    for flag, value in (("--theta0", "-1e-3"), ("--phi0", "-inf")):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, flag, value])
-        assert exc.value.code == 2
-        assert "usage:" in capsys.readouterr().err
+    # argparse reads a separate "-inf" as an option name on every version
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--phi0", "-inf"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_a_single_qubit_spin_exits_two_with_the_count_message(capsys):
