@@ -103,15 +103,12 @@ def chebyshev_table(n_max: int, kappa0: float) -> tuple[np.ndarray, np.ndarray]:
     _count("n_max", n_max, 0)
     _real("kappa0", kappa0, 0)
     chi = math.sin(kappa0 / 3.0) / 2.0
-    t = np.empty(n_max + 1)
-    u = np.empty(n_max + 1)
-    t[0], u[0] = 1.0, 0.0
-    if n_max >= 1:
-        t[1], u[1] = chi, 1.0
-    for k in range(2, n_max + 1):
-        t[k] = 2.0 * chi * t[k - 1] - t[k - 2]
-        u[k] = 2.0 * chi * u[k - 1] - u[k - 2]
-    return t, u
+    # Python floats: the same arithmetic as numpy scalars, without their per-step cost
+    t, u = [1.0, chi], [0.0, 1.0]
+    for _ in range(n_max - 1):
+        t.append(2.0 * chi * t[-1] - t[-2])
+        u.append(2.0 * chi * u[-1] - u[-2])
+    return np.array(t[: n_max + 1]), np.array(u[: n_max + 1])
 
 
 def chebyshev_step(n: int, kappa0: float) -> ChebyshevStep:

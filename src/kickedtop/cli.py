@@ -125,12 +125,18 @@ def _emit(
 
 
 def _list(text: str, kind: type) -> list:
-    """The non-blank comma-separated tokens of text, each read by kind (int or float)."""
+    """The non-blank comma-separated tokens of text, each read by kind (int or float).
+
+    A list needs at least one entry.
+    """
+    noun = "integers" if kind is int else "numbers"
     try:
-        return [kind(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        noun = "integers" if kind is int else "numbers"
         raise DomainError(f"expected comma-separated {noun}, got {text!r}") from exc
+    if not values:
+        raise DomainError(f"expected comma-separated {noun}, got none in {text!r}")
+    return values
 
 
 def _check_size(count: int, cap: int = MAX_QUBITS, unit: str = "qubits") -> None:
@@ -208,7 +214,7 @@ def cmd_dicke(args) -> None:
 
 def cmd_epr(args) -> None:
     counts = _qubit_counts(args.N, 1)
-    concurrence = wootters(epr_reduce(counts)).concurrence if counts else []
+    concurrence = wootters(epr_reduce(counts)).concurrence
     _emit(["N", "C"], [((), zip(counts, concurrence))], args.out)
 
 

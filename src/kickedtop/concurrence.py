@@ -4,12 +4,14 @@ The general route is Wootters' formula: with the spin-flipped state
 rho~ = (sigma_y x sigma_y) rho* (sigma_y x sigma_y), let lambda_1 >= ...
 >= lambda_4 be the square roots of the eigenvalues of rho rho~, and set
 C = max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4).  The lambdas are
-computed without forming rho rho~: factor rho = X X^dagger from its
-Hermitian eigendecomposition, and the lambdas are exactly the singular
-values of the complex symmetric matrix tau = X^T (sigma_y x sigma_y) X
-(Wootters, PRL 80, 2245 (1998); Uhlmann, PRA 62, 032307 (2000)).  Both
-steps are backward stable, so no lambda is ever recovered from a square
-root of a roundoff-sized eigenvalue.
+computed without forming rho rho~: factor rho = X X^dagger by pivoted
+Cholesky, which stops at the rank of rho, and the lambdas are exactly
+the singular values of the complex symmetric matrix
+tau = X^T (sigma_y x sigma_y) X (Wootters, PRL 80, 2245 (1998);
+Uhlmann, PRA 62, 032307 (2000)).  tau is r x r for a factor of rank r,
+and the other 4 - r lambdas are exact zeros.  Both steps are backward
+stable, so no lambda is ever recovered from a square root of a
+roundoff-sized eigenvalue.
 
 Structured shortcuts (`concurrence_dicke_form`, `concurrence_x_form`)
 cover the sparsity patterns produced by :mod:`.pairwise`; they are kept
@@ -25,24 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .pairwise import TwoQubitDensity
+from .pairwise import _EPS, TwoQubitDensity
 from .spin import _count, _real
 
-_EPS = float(np.finfo(float).eps)
-
 STRUCTURE_TOL = 1e-10
-
-# sigma_y x sigma_y in the product basis |00>,|01>,|10>,|11> is real:
-# antidiag(-1, 1, 1, -1).
-SPIN_FLIP = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ]
-)
-
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
@@ -79,16 +67,17 @@ def _single_matrix(rho) -> TwoQubitDensity:
 def wootters(rho) -> ConcurrenceResult:
     """Concurrence of an arbitrary two-qubit density matrix, or of a stack.
 
-    rho is factored as X X^dagger with X = V sqrt(D) from its Hermitian
-    eigendecomposition (eigvals and eigvecs, which
-    TwoQubitDensity.from_matrix already made for its positivity check);
-    eigencomponents with d <= 16*eps*d_max are zeroed (they are
-    roundoff of a rank-deficient rho and contribute nothing but
-    noise).  The lambdas are the
-    singular values of tau = X^T S X, S = sigma_y x sigma_y.  Since the
-    singular values of tau carry absolute errors of order eps*tr(rho),
-    lambdas far below the entry scale come out accurate in absolute
-    terms; nothing is squared and then square-rooted.
+    rho = X X^dagger is the pivoted Cholesky factor that
+    TwoQubitDensity.from_matrix already made for its positivity check.
+    It keeps r columns, r the largest rank in the stack: a row's factor
+    ends at the first pivot at or below 16*eps*tr(rho), since the rest
+    is roundoff of a rank-deficient rho and contributes nothing but
+    noise.  The lambdas are the singular values of the r x r matrix
+    tau = X^T S X, S = sigma_y x sigma_y, padded with exact zeros to
+    four.  Since the singular values of tau carry absolute errors of
+    order eps*tr(rho), lambdas far below the entry scale come out
+    accurate in absolute terms; nothing is squared and then
+    square-rooted.
 
     One snap remains, for exactly separable states such as spin
     coherent pairs: when even lambda_1 <= 8*sqrt(eps)*tr(rho), the
@@ -96,15 +85,19 @@ def wootters(rho) -> ConcurrenceResult:
     concurrence and c_lambda of exactly 0.
 
     A (T, 4, 4) stack runs every step matrix by matrix in one call
-    each; one 4x4 matrix is the T = 1 case and gives plain floats.
+    each, with one stacked SVD at the kept rank; one 4x4 matrix is the
+    T = 1 case and gives plain floats.
     """
     dm = _density_matrix(rho)
     single = dm.rho.ndim == 2
-    d = dm.eigvals.reshape(-1, 4)
-    d = np.where(d > 16.0 * _EPS * d.max(axis=-1, keepdims=True), d, 0.0)
-    x = dm.eigvecs.reshape(-1, 4, 4) * np.sqrt(d)[:, None, :]
+    x = dm.factor.reshape(-1, 4, dm.factor.shape[-1])
+    # S = sigma_y x sigma_y is real, antidiag(-1, 1, 1, -1) in the basis
+    # |00>, |01>, |10>, |11>, so it pairs row i of X with row 3 - i:
+    # tau = m + m^T with m = x_1 x_2^T - x_0 x_3^T, x_i = X[i, :]
+    m = x[:, 1, :, None] * x[:, 2, None, :] - x[:, 0, :, None] * x[:, 3, None, :]
+    lam = np.zeros((len(x), 4))
     try:
-        lam = np.linalg.svd(x.swapaxes(-1, -2) @ SPIN_FLIP @ x, compute_uv=False)
+        lam[:, : x.shape[-1]] = np.linalg.svd(m + m.swapaxes(-1, -2), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(str(exc)) from exc
 

@@ -14,8 +14,10 @@ collective operator is ever formed.  The matrix lives on the basis
 
 with y real for symmetric states (swap symmetry forces it).  A stack of
 T states gives a (T, 4, 4) stack of these matrices in one call.
-TwoQubitDensity.from_matrix validates a stack and makes its one stacked
-eigh, whose eigenvalues and eigenvectors wootters reuses.
+TwoQubitDensity.from_matrix validates a stack, and its positivity check
+factors each matrix as X X^dagger by pivoted Cholesky, a factor that
+wootters reuses.  The singlet lies in the kernel of every symmetric pair
+matrix, so the factor of a reduced state has rank 3 at most.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ TRACE_TOL = 1e-10
 # still catches any real normalisation error.
 NORM_TOL = 1e-6
 HERMITIZE_TOL = 1e-10
+# The lowest eigenvalue a pair matrix may have, enforced through the
+# residual of its Cholesky factor (see TwoQubitDensity.from_matrix).
 PSD_FLOOR = -1e-7
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -63,20 +68,52 @@ def _check_rows(ok: np.ndarray, single: bool, message, error=NumericalError) -> 
     raise error(message(i) if single else f"row {i}: {message(i)}")
 
 
+def _pivoted_cholesky(a: np.ndarray, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X, E) with a = X X^dagger + E for a Hermitian (T, 4, 4) stack, by pivoted Cholesky.
+
+    Step k takes each row's largest remaining diagonal as its pivot and
+    peels off the column through it.  Once a pivot is at or below the
+    row's floor, the row's factor ends and every later column is exactly
+    zero.  The (T, 4, r) factor X holds the columns in pivot order, and r
+    is the largest rank kept in the stack: the steps stop there.  E is
+    what the steps leave of a, the residual a - X X^dagger.
+
+    Each step subtracts its column's outer product from the whole 4x4, so
+    a used pivot's diagonal is left at roundoff, at most about 3*eps*tr(a),
+    and not set to zero.  Later steps only lower it, so it never passes a
+    floor of 16*eps*tr(a) again.
+    """
+    rows = np.arange(len(a))
+    rest = a.copy()
+    x = np.zeros_like(a)
+    live = np.ones(len(a), dtype=bool)
+    for k in range(4):
+        diag = rest.diagonal(axis1=-2, axis2=-1).real
+        p = diag.argmax(axis=-1)
+        pivot = diag[rows, p]
+        live &= pivot > floor
+        if not live.any():
+            return x[..., :k], rest
+        col = rest[rows, :, p] * (live / np.sqrt(np.where(live, pivot, 1.0)))[:, None]
+        x[..., k] = col
+        rest -= col[:, :, None] * col[:, None, :].conj()
+    return x, rest
+
+
 @dataclass(frozen=True)
 class TwoQubitDensity:
     """4x4 two-qubit density matrix with named entry accessors.
 
     rho is one (4, 4) matrix, or a (T, 4, 4) stack whose accessors
-    return (T,) arrays.  eigvals (ascending) and eigvecs (eigvecs[..., :, k]
-    belongs to eigvals[..., k]) are the Hermitian eigendecomposition of
-    rho made by the positivity check in from_matrix, kept so that
-    consumers need not repeat it.
+    return (T,) arrays.  factor is the (4, r) or (T, 4, r) X with
+    rho = X X^dagger to roundoff, made by the positivity check in
+    from_matrix and kept so that consumers need not factor rho again.
+    Its columns are in pivot order, r is the largest rank kept in the
+    stack, and a row of lower rank has exact zeros in its later columns.
     """
 
     rho: np.ndarray = field(repr=False)
-    eigvals: np.ndarray = field(repr=False, compare=False)
-    eigvecs: np.ndarray = field(repr=False, compare=False)
+    factor: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def from_matrix(cls, rho: np.ndarray) -> "TwoQubitDensity":
@@ -88,7 +125,16 @@ class TwoQubitDensity:
         names the first failing row.  The Hermitized matrix equals its
         conjugate transpose bit for bit (a - b is exactly -(b - a)), and
         a NaN fails the HERMITIZE_TOL check, so that check is the only
-        Hermiticity check the stack needs before its one eigh call.
+        Hermiticity check the stack needs.
+
+        Positivity: a diagonally pivoted Cholesky factors rho = X X^dagger,
+        and a row's factor ends once its pivot is at or below
+        16*eps*tr(rho).  This is backward stable on semidefinite matrices
+        and stops at their rank (Higham, 1990).  A row is rejected when
+        the residual the steps leave, ||rho - X X^dagger||_F, exceeds
+        -PSD_FLOOR.  X X^dagger is semidefinite and the Frobenius norm
+        bounds the spectral norm, so every matrix with an eigenvalue below
+        PSD_FLOOR is rejected.
         """
         rho = np.asarray(rho, dtype=complex)
         if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4) or rho.size == 0:
@@ -102,16 +148,15 @@ class TwoQubitDensity:
         tr = np.trace(sym, axis1=-2, axis2=-1).real
         _check_rows(np.abs(tr - 1) <= TRACE_TOL, single,
                     lambda i: f"trace = {float(tr[i])!r}, expected 1")
-        try:
-            values, vectors = np.linalg.eigh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(str(exc)) from exc
-        lo = values[:, 0]
-        _check_rows(lo >= PSD_FLOOR, single,
-                    lambda i: f"eigenvalue {lo[i]:.3e} below {PSD_FLOOR:.1e}")
+        # far from semidefinite, the steps may overflow: the residual is then inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, rest = _pivoted_cholesky(sym, 16.0 * _EPS * tr)
+            resid = np.linalg.norm(rest, axis=(-2, -1))
+        _check_rows(resid <= -PSD_FLOOR, single,
+                    lambda i: f"not positive semidefinite: residual {resid[i]:.3e} above {-PSD_FLOOR:.1e}")
         if single:
-            return cls(rho=sym[0], eigvals=values[0], eigvecs=vectors[0])
-        return cls(rho=sym, eigvals=values, eigvecs=vectors)
+            return cls(rho=sym[0], factor=x[0])
+        return cls(rho=sym, factor=x)
 
     def _entry(self, row: int, col: int):
         # [()] turns the 0-d result for one matrix into a scalar.

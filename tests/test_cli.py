@@ -17,7 +17,6 @@ from kickedtop import (
     KickedTopParams,
     NumericalError,
     SpinQuantum,
-    TwoQubitDensity,
     analytic_concurrence_series,
     concurrence_series,
     dicke_concurrence_closed,
@@ -155,6 +154,23 @@ def test_a_negative_value_with_an_exponent_needs_the_equals_form(capsys):
         cli.main([*argv, "--phi0", "-inf"])
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, noun, text",
+    [
+        (("epr", "--N", ","), "integers", "','"),
+        (("dicke", "--N", ","), "integers", "','"),
+        (("coherent", "--N", "4", "--eta", ","), "numbers", "','"),
+        (("lyapunov", "--kappa0", "1", "--steps", "1000", "--seeds", ","), "integers", "','"),
+        (("lyapunov", "--kappa0", " , ", "--steps", "1000"), "numbers", "' , '"),
+        (("qkt-sweep", "--j", "2", "--kappa", "", "--n-max", "3"), "numbers", "''"),
+        (("qkt-series", "--j", "1.5", "--kappa0", ",", "--n-max", "3"), "numbers", "','"),
+    ],
+)
+def test_an_empty_list_exits_two(capsys, argv, noun, text):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: expected comma-separated {noun}, got none in {text}\n")
 
 
 def test_a_single_qubit_spin_exits_two_with_the_count_message(capsys):
@@ -599,10 +615,7 @@ def test_numerical_failures_map_to_exit_three(monkeypatch, capsys):
     assert code == 3 and err == "numerical failure: deliberate\n"
 
 
-@pytest.mark.parametrize(
-    "solver, call",
-    [("eigh", TwoQubitDensity.from_matrix), ("eigh", wootters), ("svd", wootters)],
-)
+@pytest.mark.parametrize("solver, call", [("svd", wootters)])
 def test_lapack_failures_are_numerical_errors(monkeypatch, capsys, solver, call):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError(f"{solver} did not converge")
@@ -612,6 +625,29 @@ def test_lapack_failures_are_numerical_errors(monkeypatch, capsys, solver, call)
         call(np.eye(4) / 4)
     code, out, err = run_cli(capsys, "qkt-series", "--j", "1.5", "--kappa0", "1", "--n-max", "5")
     assert (code, out, err) == (3, "", f"numerical failure: {solver} did not converge\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qkt-series", "--j", "1.5", "--kappa0", "1", "--n-max", "200"),
+        ("qkt-sweep", "--j", "100", "--kappa0", "0,3", "--n-max", "30"),
+        ("dicke", "--N", "6,13"),
+        ("coherent", "--N", "17", "--eta", "0.5,2"),
+        ("epr", "--N", "1,2,64"),
+    ],
+)
+def test_the_pair_path_needs_no_eigh(monkeypatch, capsys, argv):
+    # from_matrix factors each pair matrix by pivoted Cholesky, and wootters
+    # reuses that factor, so no invocation reaches a Hermitian eigensolver
+    code, want, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+
+    def fail(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert run_cli(capsys, *argv) == (0, want, "")
 
 
 def run_child(*argv):

@@ -181,7 +181,9 @@ def test_stack_errors_name_the_failing_row():
         wootters(heavy)
     negative = good.copy()
     negative[6] = np.diag([0.7, 0.5, -0.1, -0.1])
-    with pytest.raises(NumericalError, match=r"^row 6: eigenvalue"):
+    with pytest.raises(
+        NumericalError, match=r"^row 6: not positive semidefinite: residual 1\.414e-01 above 1\.0e-07$"
+    ):
         TwoQubitDensity.from_matrix(negative)
     rng = np.random.default_rng(3)
     amps = rng.standard_normal((4, 31)) + 1j * rng.standard_normal((4, 31))

@@ -1,6 +1,7 @@
 """Reduction from collective moments, validated against tensor-space brute force."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,15 +9,19 @@ import pytest
 from kickedtop import (
     CollectiveExpectations,
     DomainError,
+    KickedTopParams,
     NumericalError,
     SpinQuantum,
     TwoQubitDensity,
+    coherent_from_angles,
     collective_expectations,
     epr_expectations,
     epr_reduce,
+    floquet,
     number_state,
     reduce_symmetric,
     spin_coherent,
+    wootters,
 )
 from dense_spin import collective_operators
 from oracles import (
@@ -137,7 +142,9 @@ def test_the_pair_trace_is_one_for_any_moments():
     # <Sz^2> = 40 exceeds N^2/4 = 25, so w < 0: the matrix keeps trace 1 and
     # fails only the positivity check, which runs after the trace check
     beyond = CollectiveExpectations(n, 0.0, 40.0, j * (j + 1) - 40.0, 0j, 0j, 0j)
-    with pytest.raises(NumericalError, match=r"^eigenvalue -3\.333e-01 below"):
+    with pytest.raises(
+        NumericalError, match=r"^not positive semidefinite: residual 3\.333e-01 above 1\.0e-07$"
+    ):
         reduce_symmetric(beyond)
 
 
@@ -150,28 +157,27 @@ def test_from_matrix_validation():
         TwoQubitDensity.from_matrix(skew)
     with pytest.raises(NumericalError, match=r"^trace = 2\.0, expected 1$"):
         TwoQubitDensity.from_matrix(np.eye(4) * 0.5)  # trace 2
-    with pytest.raises(NumericalError, match=r"^eigenvalue -1\.000e-01 below -1\.0e-07$"):
+    with pytest.raises(
+        NumericalError, match=r"^not positive semidefinite: residual 1\.414e-01 above 1\.0e-07$"
+    ):
         TwoQubitDensity.from_matrix(np.diag([0.7, 0.5, -0.1, -0.1]))
 
 
-def test_from_matrix_hands_eigh_an_exactly_hermitian_stack(monkeypatch):
+def random_pair_stack(rng, t):
+    a = rng.standard_normal((t, 4, 4)) + 1j * rng.standard_normal((t, 4, 4))
+    rho = a @ a.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def test_from_matrix_factors_an_exactly_hermitian_stack():
     # from_matrix's HERMITIZE_TOL check is the pair path's only Hermiticity
-    # check, and eigh reads one triangle: so the Hermitized stack must equal
-    # its own conjugate transpose exactly, with a real diagonal.
-    eigh_calls = []
-    eigh = np.linalg.eigh
-
-    def counted_eigh(a):
-        eigh_calls.append(a.shape)
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    # check, and the factor reads one column per pivot: so the Hermitized
+    # stack must equal its own conjugate transpose exactly, with a real
+    # diagonal, and one factor covers the whole stack.
     rng = np.random.default_rng(23)
     cases = []
     for t in (1, 7, 64):
-        a = rng.standard_normal((t, 4, 4)) + 1j * rng.standard_normal((t, 4, 4))
-        rho = a @ a.conj().swapaxes(-1, -2)
-        rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+        rho = random_pair_stack(rng, t)
         b = 1e-11 * (rng.standard_normal((t, 4, 4)) + 1j * rng.standard_normal((t, 4, 4)))
         cases.append((TwoQubitDensity.from_matrix, rho + b - b.conj().swapaxes(-1, -2)))
     for n_qubits in (3, 30, 200):
@@ -179,11 +185,92 @@ def test_from_matrix_hands_eigh_an_exactly_hermitian_stack(monkeypatch):
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         cases.append((reduce_symmetric, collective_expectations(amps)))
     for make, arg in cases:
-        eigh_calls.clear()
-        rho = make(arg).rho
-        assert eigh_calls == [rho.shape]
+        dm = make(arg)
+        rho = dm.rho
+        assert dm.factor.shape[:-1] == rho.shape[:-1]
         assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
         assert (rho.diagonal(axis1=-2, axis2=-1).imag == 0.0).all()
+
+
+def kicked_stack(two_j, n_kicks, theta0=0.7):
+    """Amplitude rows after each of n_kicks kicks from a tilted coherent start.
+
+    Each row is renormalised: kick roundoff drifts sum |a_n|^2 by about
+    6e-16 per kick, and a pair matrix of moments off by that much is no
+    longer of the rank its state's pair has.
+    """
+    u = floquet(KickedTopParams(SpinQuantum(two_j), 2.5))
+    amps = [coherent_from_angles(two_j, theta0, 0.3)]
+    for _ in range(n_kicks):
+        amps.append(u @ amps[-1])
+    amps = np.array(amps[1:])
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "make, rank",
+    [
+        (lambda: TwoQubitDensity.from_matrix(random_pair_stack(np.random.default_rng(8), 64)), 4),
+        (lambda: reduce_symmetric(collective_expectations(
+            np.array([spin_coherent(17, eta) for eta in (0.3, 1.0, 2.0 - 0.5j)]))), 1),
+        # the pair of three qubits shares its state with the third qubit alone
+        (lambda: reduce_symmetric(collective_expectations(kicked_stack(3, 40))), 2),
+        # the singlet is in the kernel of every symmetric pair matrix
+        (lambda: reduce_symmetric(collective_expectations(kicked_stack(200, 8))), 3),
+    ],
+    ids=["random-full-rank", "coherent-rank-1", "kicked-2j3-rank-2", "kicked-2j200-rank-3"],
+)
+def test_the_factor_reproduces_the_matrix_at_its_rank(make, rank):
+    dm = make()
+    x = dm.factor
+    assert x.shape == dm.rho.shape[:-1] + (rank,)
+    resid = np.linalg.norm(dm.rho - x @ x.conj().swapaxes(-1, -2), axis=(-2, -1))
+    assert (resid <= 1e-14).all(), resid.max()
+    # once a row drops a pivot, every later column of that row is exactly zero
+    kept = (x != 0).any(axis=-2)
+    assert (kept[:, 0]).all()
+    assert (kept[:, :-1] | ~kept[:, 1:]).all()
+    lambdas = wootters(dm).lambdas
+    assert lambdas.shape == (len(x), 4)
+    assert (np.diff(lambdas, axis=-1) <= 0).all()
+    # the squared lambdas are the eigenvalues of rho rho~, so they sum to its trace
+    signs = np.array([-1.0, 1.0, 1.0, -1.0])
+    flipped = dm.rho.conj()[:, ::-1, ::-1] * np.outer(signs, signs)
+    np.testing.assert_allclose(
+        (lambdas**2).sum(axis=-1), np.trace(dm.rho @ flipped, axis1=-2, axis2=-1).real, atol=1e-13
+    )
+
+
+def test_the_residual_rejects_every_matrix_below_the_eigenvalue_floor():
+    rng = np.random.default_rng(12)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    for lowest in (-1.01e-7, -1e-3):
+        d = np.array([0.5, 0.3, 0.2 - lowest, lowest])
+        rho = (q * d) @ q.conj().T
+        with pytest.raises(NumericalError, match=r"^not positive semidefinite: residual .* above 1\.0e-07$"):
+            TwoQubitDensity.from_matrix(rho)
+        stack = random_pair_stack(rng, 9)
+        stack[4] = rho
+        with pytest.raises(NumericalError, match=r"^row 4: not positive semidefinite: residual "):
+            TwoQubitDensity.from_matrix(stack)
+    # far from semidefinite the steps overflow, quietly, and the residual is inf
+    huge = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    huge[0, 1] = huge[1, 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^not positive semidefinite: residual inf above"):
+            TwoQubitDensity.from_matrix(huge)
+
+
+def test_a_product_state_with_roundoff_noise_is_accepted_and_separable():
+    rng = np.random.default_rng(6)
+    a, b = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
+    psi = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+    noise = 1e-17 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    dm = TwoQubitDensity.from_matrix(np.outer(psi, psi.conj()) + noise + noise.conj().T)
+    assert dm.factor.shape == (4, 1)
+    result = wootters(dm)
+    assert (result.concurrence, result.c_lambda) == (0.0, 0.0)
 
 
 def test_from_matrix_named_accessors():
