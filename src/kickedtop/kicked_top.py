@@ -25,19 +25,21 @@ into two blocks of size N//2 + 1 in the eigenbasis of G:
             conjugated second-block coefficients and one complex block
             acts on both.
 
-_half_rotation builds the rotation's upper rows from half-size products,
-never forming the full rotation; _parity_blocks combines them into the
-blocks, and _rotation, and so floquet, places them in the Jz basis.
+_parity_blocks builds the blocks from half-size products of the
+rotation's upper rows, never forming the full rotation, and _phases the
+torsion phases on the same coordinates.  _kicks is the one kick loop:
+K columns in the eigenbasis of G, as a (2, N//2+1, K) array, take one
+matrix product per kick, then the torsion phases.  _parity_coords and
+_jz_amplitudes move columns into that basis and back.
 
-`concurrence_sweep` is the one engine behind every concurrence series.
-For one (2j, p) it builds the blocks once and pushes the coherent start
-through the kicks for all K values of kappa0 together, as a (2, N//2+1,
-K) array: one matrix product per kick, then the torsion phases.  The
-kick axis is collected in blocks of at most KICK_BLOCK_AMPLITUDES
-amplitudes, so memory does not grow with the kick count, and each block
-goes back to the Jz basis and through the two-qubit reduction in
-:mod:`.pairwise` and Wootters' formula as one stack.
-`concurrence_series` is the K = 1 case.
+`floquet` is one kick of the Jz basis through the blocks.
+`concurrence_sweep` is the engine behind every concurrence series.  For
+one (2j, p) it builds the blocks once and pushes the coherent start
+through the kicks for all K values of kappa0 together.  The kick axis is
+collected in blocks of at most KICK_BLOCK_AMPLITUDES amplitudes, so
+memory does not grow with the kick count, and each block goes back to
+the Jz basis and through the two-qubit reduction in :mod:`.pairwise` and
+Wootters' formula as one stack.  `concurrence_series` is the K = 1 case.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class KickedTopParams:
 
     def __post_init__(self) -> None:
         _real("kappa0", self.kappa0, 0)
-        # _torsion forms kappa0 m^2 before it divides by 2j, and m^2 <= j^2
+        # _phases forms kappa0 m^2 before it divides by 2j, and m^2 <= j^2
         if not math.isfinite(self.kappa0 * self.q.j**2):
             raise DomainError(f"kappa0 * j^2 = {self.kappa0} * {self.q.j**2} overflows the float range")
         _real("p", self.p)
@@ -153,12 +155,14 @@ def _jx_top_rows(n_qubits: int, eigvals: np.ndarray) -> np.ndarray:
     return v
 
 
-def _half_rotation(q: SpinQuantum, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """The rows a <= N/2 of R = exp(-i p Jy), as two real (h, h) arrays, h = N//2 + 1.
+def _parity_blocks(q: SpinQuantum, p: float) -> np.ndarray:
+    """exp(-i p Jy) in the eigenbasis of G (see the module docstring), h = N//2 + 1.
 
-    Returns (same, cross) with same[a, b] = R[a, b] and
-    cross[a, b] = g_b R[a, N-b] for a, b <= N/2; every other entry of R
-    follows from G R G^T = R, that is R[N-a, N-b] = g_a g_b R[a, b].
+    Returns a real (2, h, h) stack for even N, the blocks of G = +1 and
+    G = -1, R[a, b] +- g_b R[a, N-b] with the middle row and column scaled
+    by 1/sqrt(2); for odd N, one complex (h, h) block R[a, b] - i g_b R[a, N-b]
+    of G = +i, whose conjugate is the block of G = -i.  Only the rows
+    a <= N/2 of R = exp(-i p Jy) enter, and the full R is never formed.
 
     Jy = D Jx D^dagger with D = diag((-i)^n), and Jx is real symmetric
     tridiagonal with eigenvalues exactly m = -j..j, so with Jx = V W V^T
@@ -171,9 +175,10 @@ def _half_rotation(q: SpinQuantum, p: float) -> tuple[np.ndarray, np.ndarray]:
     Split the columns k of V by their reflection sign (-1)^(N-k) into
     the products E (sign +1) and O (sign -1) over the top rows; then
     M[a, b] = E + O and M[a, N-b] = E - O for a, b <= N/2, and the
-    quarter-turn signs turn M into R.
+    quarter-turn signs turn M into same[a, b] = R[a, b] and
+    cross[a, b] = g_b R[a, N-b].
     """
-    n, h = q.n_qubits, q.n_qubits // 2 + 1
+    n, half, h = q.n_qubits, q.n_qubits // 2, q.n_qubits // 2 + 1
     m, _ = _ladder(n)
     # the h columns with (-1)^(N-k) = +1 first, then the rest
     eigvals = m[np.r_[n % 2 : n + 1 : 2, 1 - n % 2 : n + 1 : 2]]
@@ -191,19 +196,6 @@ def _half_rotation(q: SpinQuantum, p: float) -> tuple[np.ndarray, np.ndarray]:
     for a in range(4):
         same[a::4] *= _QUARTER_TURN_SIGN[(a - cols) % 4]
         cross[a::4] *= _QUARTER_TURN_SIGN[(a - n + cols) % 4] * g
-    return same, cross
-
-
-def _parity_blocks(q: SpinQuantum, p: float) -> np.ndarray:
-    """exp(-i p Jy) in the eigenbasis of G (see the module docstring), from _half_rotation.
-
-    Returns a real (2, h, h) stack for even N, the blocks of G = +1 and
-    G = -1, R[a, b] +- g_b R[a, N-b] with the middle row and column scaled
-    by 1/sqrt(2); for odd N, one complex (h, h) block R[a, b] - i g_b R[a, N-b]
-    of G = +i, whose conjugate is the block of G = -i; h = N//2 + 1.
-    """
-    n, half = q.n_qubits, q.n_qubits // 2
-    same, cross = _half_rotation(q, p)
     if n % 2:
         blocks = np.empty(same.shape, dtype=complex)
         blocks.real = same
@@ -220,35 +212,17 @@ def _parity_blocks(q: SpinQuantum, p: float) -> np.ndarray:
     return blocks
 
 
-def _rotation(q: SpinQuantum, p: float) -> np.ndarray:
-    """exp(-i p Jy) on the (2j+1)-dimensional symmetric subspace, as a real matrix.
-
-    The upper rows of _half_rotation placed in the Jz basis: same gives
-    R[a, b] and cross R[a, N-b] for a, b <= N/2, and G R G^T = R gives
-    the lower rows, R[N-a, N-b] = g_a g_b R[a, b].
-    """
-    n = q.n_qubits
-    same, cross = _half_rotation(q, p)
-    h = same.shape[0]
-    g = (-1.0) ** np.arange(n, -1, -1)
-    low = n + 1 - h  # the indices a < N/2, each paired with its mirror N-a
-    r = np.empty((n + 1, n + 1))
-    r[:h, :h] = same
-    r[:h, h:] = (cross[:, :low] * g[:low])[:, ::-1]
-    r[::-1, ::-1][:low] = g[:low, None] * g * r[:low]
-    return r
-
-
 def _parity_coords(amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    """One state's (2, N//2+1) coordinates in the eigenbasis of G, as the sweep carries them.
+    """(2, N//2+1, K) coordinates in the eigenbasis of G of (N+1, K) Jz amplitude columns.
 
     Row 0 holds the first block's coefficients; row 1 the second
-    block's for even N, their complex conjugates for odd N.
+    block's for even N, their complex conjugates for odd N; this is the
+    form _kicks carries.
     """
     half, low = n_qubits // 2, n_qubits - n_qubits // 2
     top = amps[:low]
-    mirror = amps[::-1][:low] * (-1.0) ** (n_qubits - np.arange(low))  # g_a amps[N-a]
-    coords = np.zeros((2, half + 1), dtype=complex)
+    mirror = amps[::-1][:low] * (-1.0) ** (n_qubits - np.arange(low))[:, None]  # g_a amps[N-a]
+    coords = np.zeros((2, half + 1, amps.shape[1]), dtype=complex)
     if n_qubits % 2:
         coords[0] = (top + 1j * mirror) * math.sqrt(0.5)
         coords[1] = np.conj(top - 1j * mirror) * math.sqrt(0.5)
@@ -279,15 +253,44 @@ def _jz_amplitudes(coords: np.ndarray, n_qubits: int) -> np.ndarray:
     return amps
 
 
-def _torsion(q: SpinQuantum, kappa0s) -> np.ndarray:
-    """exp(-i kappa0 m^2 / (2j)): one row per m = -j..j, one column per kappa0."""
+def _phases(q: SpinQuantum, kappa0s) -> np.ndarray:
+    """Torsion phases exp(-i kappa0 m^2 / (2j)) on the G-basis coordinates, (2, N//2+1, K).
+
+    Row a of either block pairs |a> with |N-a>, which share m^2 with
+    m = a - j; the conjugated second block of odd N takes the conjugate
+    phases.  One column per kappa0.
+    """
     m, _ = _ladder(q.n_qubits)
-    return np.exp(-1j * np.asarray(kappa0s, dtype=float) * m[:, None] ** 2 / (2.0 * q.j))
+    h = q.n_qubits // 2 + 1
+    torsion = np.exp(-1j * np.asarray(kappa0s, dtype=float) * m[:h, None] ** 2 / (2.0 * q.j))
+    return np.stack([torsion, torsion.conj() if q.n_qubits % 2 else torsion])
+
+
+def _kicks(blocks: np.ndarray, phases: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
+    """Kick the (2, h, K) G-basis state once per entry of out, a (T, 2, h, K) array.
+
+    Each kick is one matrix product with the blocks, then the torsion
+    phases; out[t] holds the state after kick t + 1.
+    """
+    # the real blocks of even N act on the real view, (2, h, 2K) floats
+    operand = (lambda a: a) if np.iscomplexobj(blocks) else (lambda a: a.view(float))
+    for kick in out:
+        np.matmul(blocks, operand(state), out=operand(kick))
+        np.multiply(phases, kick, out=kick)
+        state = kick
 
 
 def floquet(params: KickedTopParams) -> np.ndarray:
-    """One-period unitary on the (2j+1)-dimensional symmetric subspace."""
-    return _torsion(params.q, [params.kappa0]) * _rotation(params.q, params.p)
+    """One-period unitary on the (2j+1)-dimensional symmetric subspace.
+
+    One kick of the Jz basis through the parity blocks: column b is the
+    image of |b>, computed as every concurrence series is.
+    """
+    q = params.q
+    blocks = _parity_blocks(q, params.p)
+    kick = np.empty((1, 2, blocks.shape[-1], q.dim), dtype=complex)
+    _kicks(blocks, _phases(q, [params.kappa0]), _parity_coords(np.eye(q.dim), q.n_qubits), kick)
+    return _jz_amplitudes(kick, q.n_qubits)[0].T
 
 
 def evolve(state: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
@@ -326,24 +329,17 @@ def concurrence_sweep(
     n = _count("n_qubits", q.n_qubits, 2)
     _count("n_max", n_max, 1)
     # the start checks theta0 and phi0, so bad angles fail before the blocks are built
-    start = _parity_coords(coherent_from_angles(n, theta0, phi0), n)
+    start = _parity_coords(coherent_from_angles(n, theta0, phi0)[:, None], n)
     blocks = _parity_blocks(q, p)
-    h = blocks.shape[-1]
-    torsion = _torsion(q, kappa0s)[:h]
-    k = torsion.shape[1]
-    # the conjugated second block of odd N takes the conjugate phases
-    phases = np.stack([torsion, torsion.conj() if n % 2 else torsion])
-    # the real blocks of even N act on the real view, (2, h, 2K) floats
-    operand = (lambda a: a) if n % 2 else (lambda a: a.view(float))
-    state = np.repeat(start[:, :, None], k, axis=2)
+    phases = _phases(q, kappa0s)
+    _, h, k = phases.shape
+    state = np.repeat(start, k, axis=2)
     block = max(1, KICK_BLOCK_AMPLITUDES // (q.dim * k))
     c = np.empty((n_max, k))
     for first in range(0, n_max, block):
         kicks = np.empty((min(block, n_max - first), 2, h, k), dtype=complex)
-        for kick in kicks:
-            np.matmul(blocks, operand(state), out=operand(kick))
-            np.multiply(phases, kick, out=kick)
-            state = kick
+        _kicks(blocks, phases, state, kicks)
+        state = kicks[-1]
         amps = _jz_amplitudes(kicks, n).reshape(-1, q.dim)
         pairs = reduce_symmetric(collective_expectations(amps))
         c[first : first + len(kicks)] = wootters(pairs).concurrence.reshape(-1, k)
