@@ -204,8 +204,11 @@ def collective_expectations(state: np.ndarray) -> CollectiveExpectations:
         <[S+, Sz]_+>   = sum c_n a*_{n+1} a_n (2 m_n + 1)
         <S+^2>         = sum c_n c_{n+1} a*_{n+2} a_n
 
-    Every sum runs along its own row, so a row of a stack gives the
-    same moments as that state alone.  <Sx^2 + Sy^2> comes from
+    Each sum is divided by <psi|psi> = sum |a_n|^2, so the moments are
+    those of the normalised state: the drift of a norm within NORM_TOL,
+    such as many kicks leave, adds no spurious component to the pair
+    matrix.  Every sum runs along its own row, so a row of a stack gives
+    the same moments as that state alone.  <Sx^2 + Sy^2> comes from
     j(j+1) - <Sz^2>, exact on the symmetric subspace.
 
     A state whose sum |a_n|^2 is off 1 by more than NORM_TOL raises
@@ -230,15 +233,17 @@ def collective_expectations(state: np.ndarray) -> CollectiveExpectations:
     _check_rows(~(np.abs(norm2 - 1.0) > NORM_TOL), amps.ndim == 1,
                 lambda i: f"squared amplitudes sum to {float(norm2[i])!r}, not 1", DomainError)
     hop = c * a[:, 1:].conj() * a[:, :-1]
-    sz2 = (prob * (m * m)).sum(axis=-1)
-    moments = {
+    sums = {
         "sz": (prob * m).sum(axis=-1),
-        "sz2": sz2,
-        "sx2_plus_sy2": j * (j + 1) - sz2,
+        "sz2": (prob * (m * m)).sum(axis=-1),
         "splus": hop.sum(axis=-1),
         "splus2": (c[1:] * c[:-1] * a[:, 2:].conj() * a[:, :-2]).sum(axis=-1),
         "splus_sz_anti": (hop * (2 * m[:-1] + 1)).sum(axis=-1),
     }
+    # a NaN row stays NaN, silently, for the Hermiticity check to report
+    with np.errstate(invalid="ignore"):
+        moments = {name: value / norm2 for name, value in sums.items()}
+    moments["sx2_plus_sy2"] = j * (j + 1) - moments["sz2"]
     if amps.ndim == 1:
         moments = {name: value[0].item() for name, value in moments.items()}
     return CollectiveExpectations(n_qubits=n, **moments)
