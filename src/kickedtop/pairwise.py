@@ -298,13 +298,13 @@ def epr_reduce(n_qubits: int | Sequence[int]) -> TwoQubitDensity:
     Diagonal-plus-corner form: w = 1/4 - <J1z J2z>/N^2 on the inner
     diagonal, corner u = <J1+ J2+>/N^2, v = (1 - 2w)/2 at both ends,
     x and y identically zero.  A sequence of counts gives the stack of
-    their matrices, in order.
+    their matrices, in order; each count goes through the one count rule,
+    and the first bad one is named.
     """
-    counts = np.atleast_1d(n_qubits)
-    if counts.ndim != 1 or counts.size == 0 or (counts < 1).any():
-        raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
-    if counts.dtype.kind not in "iu":
-        raise DomainError(f"n_qubits must be integers, got {n_qubits}")
+    single = np.ndim(n_qubits) == 0
+    counts = np.array([_count("n_qubits", n, 1) for n in ([n_qubits] if single else n_qubits)])
+    if not counts.size:
+        raise DomainError(f"need at least one n_qubits, got {n_qubits}")
     n2 = np.square(counts, dtype=float)  # an int64 square wraps past N = 3.04e9
     j1z_j2z, j1p_j2p = _epr_moments(counts)
     w = 0.25 - j1z_j2z / n2
@@ -314,4 +314,4 @@ def epr_reduce(n_qubits: int | Sequence[int]) -> TwoQubitDensity:
     rho[:, 0, 0] = rho[:, 3, 3] = v
     rho[:, 1, 1] = rho[:, 2, 2] = w
     rho[:, 3, 0] = rho[:, 0, 3] = u
-    return TwoQubitDensity.from_matrix(rho[0] if np.ndim(n_qubits) == 0 else rho)
+    return TwoQubitDensity.from_matrix(rho[0] if single else rho)

@@ -23,8 +23,8 @@ POLE_SNAP_TOL = 1e-12
 
 
 def _as_int(name: str, value) -> int:
-    """value as an int; DomainError unless it is a Python or numpy integer."""
-    if not isinstance(value, (int, np.integer)):
+    """value as an int; DomainError unless it is a Python or numpy integer, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value}")
     return int(value)
 
@@ -38,8 +38,8 @@ def _count(name: str, value, minimum: int) -> int:
 
 
 def _real(name: str, value, minimum: float | None = None) -> float:
-    """value as a float; DomainError unless it is finite and, given a minimum, >= minimum."""
-    if not (math.isfinite(value) and (minimum is None or value >= minimum)):
+    """value as a float; DomainError unless it is finite, not a bool and, given a minimum, >= minimum."""
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and (minimum is None or value >= minimum)):
         bound = "" if minimum is None else f" and >= {minimum}"
         raise DomainError(f"{name} must be finite{bound}, got {value}")
     return float(value)

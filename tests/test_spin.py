@@ -53,7 +53,7 @@ def test_spin_quantum_properties_and_validation():
 
 def moments_of_the_bottom_state(n):
     """The moments of |n=0>, m = -N/2, built by hand for a count n."""
-    return CollectiveExpectations(n, -n / 2, n * n / 4, n / 2, 0j, 0j, 0j)
+    return CollectiveExpectations(n, -0.5 * n, n * n / 4, n / 2, 0j, 0j, 0j)
 
 
 def run_command(*argv):
@@ -114,10 +114,18 @@ REAL_MAKERS = {
 @pytest.mark.parametrize("maker", list(COUNT_MAKERS))
 def test_counts_must_be_integers(maker):
     make = COUNT_MAKERS[maker]
-    with pytest.raises(DomainError, match=r"must be (an )?integers?, got"):
+    with pytest.raises(DomainError, match=r"^[\w ]+ must be an integer, got "):
         make(2.5)
     for count in (np.int64(3), np.int32(3)):
         np.testing.assert_array_equal(make(count), make(3))
+
+
+# the two step counts are scaled by 1000, which turns a bool into an int
+@pytest.mark.parametrize("maker", [m for m in COUNT_MAKERS if not m.endswith("-steps")])
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_a_bool_is_not_a_count(maker, flag):
+    with pytest.raises(DomainError, match=r"^[\w ]+ must be an integer, got True$"):
+        COUNT_MAKERS[maker](flag)
 
 
 @pytest.mark.parametrize(
@@ -127,6 +135,8 @@ def test_counts_must_be_integers(maker):
         ("spin_coherent", 0, "n_qubits must be >= 1, got 0"),
         ("coherent_from_angles", 0, "n_qubits must be >= 1, got 0"),
         ("epr_expectations", 0, "n_qubits must be >= 1, got 0"),
+        ("epr_reduce", 0, "n_qubits must be >= 1, got 0"),
+        ("epr_reduce-list", 0, "n_qubits must be >= 1, got 0"),
         ("concurrence_sweep-n_max", 0, "n_max must be >= 1, got 0"),
         ("concurrence_sweep-n_qubits", 1, "n_qubits must be >= 2, got 1"),
         ("time_average-burn_in", -1, "burn_in must be >= 0, got -1"),
@@ -145,24 +155,32 @@ def test_counts_below_their_minimum(maker, count, message):
         COUNT_MAKERS[maker](count)
 
 
+REAL_RULES = [
+    ("KickedTopParams-kappa0", "kappa0 must be finite and >= 0, got {}"),
+    ("KickedTopParams-p", "p must be finite, got {}"),
+    ("classical-kappa0", "kappa0 must be finite and >= 0, got {}"),
+    ("classical-p", "p must be finite, got {}"),
+    ("chebyshev_table-kappa0", "kappa0 must be finite and >= 0, got {}"),
+    ("coherent_from_angles-theta", "theta must be finite, got {}"),
+    ("coherent_from_angles-phi", "phi must be finite, got {}"),
+    ("dicke_concurrence_closed-M", "M must be finite, got {}"),
+    ("cli-j", "j must be finite, got {}"),
+    ("cli-M_min", "M bounds must be finite, got {}"),
+    ("cli-M_max", "M bounds must be finite, got {}"),
+]
+
+
 @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
-@pytest.mark.parametrize(
-    "maker, message",
-    [
-        ("KickedTopParams-kappa0", "kappa0 must be finite and >= 0, got {}"),
-        ("KickedTopParams-p", "p must be finite, got {}"),
-        ("classical-kappa0", "kappa0 must be finite and >= 0, got {}"),
-        ("classical-p", "p must be finite, got {}"),
-        ("chebyshev_table-kappa0", "kappa0 must be finite and >= 0, got {}"),
-        ("coherent_from_angles-theta", "theta must be finite, got {}"),
-        ("coherent_from_angles-phi", "phi must be finite, got {}"),
-        ("dicke_concurrence_closed-M", "M must be finite, got {}"),
-        ("cli-j", "j must be finite, got {}"),
-        ("cli-M_min", "M bounds must be finite, got {}"),
-        ("cli-M_max", "M bounds must be finite, got {}"),
-    ],
-)
+@pytest.mark.parametrize("maker, message", REAL_RULES)
 def test_reals_must_be_finite(maker, message, value):
+    with pytest.raises(DomainError, match=f"^{message.format(value)}$"):
+        REAL_MAKERS[maker](value)
+
+
+# the command line reads text, so no bool reaches its rules
+@pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("maker, message", [rule for rule in REAL_RULES if not rule[0].startswith("cli-")])
+def test_a_bool_is_not_a_real(maker, message, value):
     with pytest.raises(DomainError, match=f"^{message.format(value)}$"):
         REAL_MAKERS[maker](value)
 
