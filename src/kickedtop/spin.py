@@ -39,7 +39,8 @@ def _count(name: str, value, minimum: int) -> int:
 
 def _real(name: str, value, minimum: float | None = None) -> float:
     """value as a float; DomainError unless it is finite, not a bool and, given a minimum, >= minimum."""
-    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and (minimum is None or value >= minimum)):
+    finite = not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
+    if not (finite and (minimum is None or value >= minimum)):
         bound = "" if minimum is None else f" and >= {minimum}"
         raise DomainError(f"{name} must be finite{bound}, got {value}")
     return float(value)
