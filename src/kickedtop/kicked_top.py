@@ -25,12 +25,14 @@ into two blocks of size N//2 + 1 in the eigenbasis of G:
             conjugated second-block coefficients and one complex block
             acts on both.
 
-_parity_blocks builds the blocks from half-size products of the
-rotation's upper rows, never forming the full rotation, and _phases the
-torsion phases on the same coordinates.  _kicks is the one kick loop:
-K columns in the eigenbasis of G, as a (2, N//2+1, K) array, take one
-matrix product per kick, then the torsion phases.  _parity_coords and
-_jz_amplitudes move columns into that basis and back.
+_parity_blocks builds each block as a function of Jx on one class of
+the reflection n -> N-n, which Jx commutes with: a half-size product of
+the class's eigenvectors folded onto the rows n <= N/2, never the full
+rotation.  _phases gives the torsion phases on the same coordinates.
+_kicks is the one kick loop: K columns in the eigenbasis of G, as a
+(2, N//2+1, K) array, take one matrix product per kick, then the
+torsion phases.  _parity_coords and _jz_amplitudes move columns into
+that basis and back.
 
 `floquet` is one kick of the Jz basis through the blocks.
 `concurrence_sweep` is the engine behind every concurrence series.  For
@@ -62,8 +64,8 @@ DEFAULT_PRECESSION = math.pi / 2.0
 # 256 KiB.
 KICK_BLOCK_AMPLITUDES = 1 << 14
 
-# Sign of rotation entry [a, b] by k = (a - b) mod 4: (-i)^k times C for
-# even k, (-i)^k times -iS for odd k.
+# Sign of entry [a, b] of an even-N block by k = (a - b) mod 4: (-i)^k
+# times C for even k, (-i)^k times -iS for odd k.
 _QUARTER_TURN_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 # Every _RESCALE_EVERY steps, a column of the Jx recurrence whose last
@@ -116,15 +118,16 @@ class ConcurrenceSeries:
 
 
 def _jx_top_rows(n_qubits: int, eigvals: np.ndarray) -> np.ndarray:
-    """Rows n = 0..N//2 of the unit eigenvectors of Jx, one column per eigenvalue.
+    """The eigenvectors of Jx folded onto rows n = 0..N//2, one unit column per eigenvalue.
 
     Column b solves c[n-1] v[n-1] + c[n] v[n+1] = 2 m_b v[n], run upward
     from v[0] = 1 for all columns at once; every _RESCALE_EVERY steps a
     column whose last two entries pass _RESCALE_AT is rescaled.  Jx
-    commutes with n -> N-n, so the rows below the middle mirror these,
-    v[N-n] = (-1)^(N-b) v[n], and each column is normalised over the
-    whole of it (its sign does not matter, as V enters only as
-    V f(W) V^T).
+    commutes with the reflection n -> N-n, so the rows below the middle
+    mirror these, v[N-n] = (-1)^(N-b) v[n].  Row n < N/2 is v[n] times
+    sqrt(2), the component along (|n> +- |N-n>)/sqrt(2), and each column
+    is normalised over its N//2 + 1 rows (its sign does not matter, as
+    the columns enter only as U f(W) U^T).
     """
     _, c = _ladder(n_qubits)
     half = n_qubits // 2
@@ -144,11 +147,9 @@ def _jx_top_rows(n_qubits: int, eigvals: np.ndarray) -> np.ndarray:
             big = (np.abs(v[n : n + 2]) > _RESCALE_AT).any(axis=0)
             if big.any():
                 v[: n + 2, big] *= _RESCALE_STEP
-    # each row but the middle one of even N stands for itself and its mirror
-    norm2 = 2.0 * np.einsum("nb,nb->b", v, v)
-    if n_qubits % 2 == 0:
-        norm2 -= v[half] ** 2
-    v /= np.sqrt(norm2)
+    # rows a < N/2 stand for |a> and |N-a>: fold them into unit columns over the h rows
+    v[: n_qubits - half] *= math.sqrt(2.0)
+    v /= np.sqrt(np.einsum("nb,nb->b", v, v))
     # the rescaled far edges of the outer columns end up subnormal, and
     # subnormals slow the products down about 1.5x at 2j = 4096
     v[np.abs(v) < np.finfo(float).tiny] = 0.0
@@ -159,56 +160,50 @@ def _parity_blocks(q: SpinQuantum, p: float) -> np.ndarray:
     """exp(-i p Jy) in the eigenbasis of G (see the module docstring), h = N//2 + 1.
 
     Returns a real (2, h, h) stack for even N, the blocks of G = +1 and
-    G = -1, R[a, b] +- g_b R[a, N-b] with the middle row and column scaled
-    by 1/sqrt(2); for odd N, one complex (h, h) block R[a, b] - i g_b R[a, N-b]
-    of G = +i, whose conjugate is the block of G = -i.  Only the rows
-    a <= N/2 of R = exp(-i p Jy) enter, and the full R is never formed.
+    G = -1; for odd N, one complex (h, h) block of G = +i, whose
+    conjugate is the block of G = -i.  The full rotation is never formed.
 
-    Jy = D Jx D^dagger with D = diag((-i)^n), and Jx is real symmetric
-    tridiagonal with eigenvalues exactly m = -j..j, so with Jx = V W V^T
-    the rotation is R[a, b] = (-i)^(a-b) (C - iS)[a, b],
-    C = V cos(pW) V^T, S = V sin(pW) V^T.  The recurrence gives
-    v(-m) = diag((-1)^n) v(m) exactly, so C is zero at odd a - b and S
-    at even a - b, and M = V (cos(pW) + sin(pW)) V^T holds both: R is
-    real, +-C[a, b] for even a - b and +-S[a, b] for odd a - b.
+    Jy = D Jx D^dagger with D = diag((-i)^n), so exp(-i p Jy) =
+    D exp(-i p Jx) D^dagger.  D^dagger maps the G-basis vector of row a
+    to i^a times the unit vector (|a> + r |N-a>)/sqrt(2) (|N/2> for the
+    middle of even N) of the reflection n -> N-n, with r = +-(-1)^(N/2)
+    for G = +-1 and r = (-1)^((N+1)/2) for G = +i.  Jx commutes with the
+    reflection, so with Jx = V W V^T each block is i^(b-a) U exp(-i p W) U^T
+    over the Jx eigenvectors of class r, U their folded unit columns.
 
-    Split the columns k of V by their reflection sign (-1)^(N-k) into
-    the products E (sign +1) and O (sign -1) over the top rows; then
-    M[a, b] = E + O and M[a, N-b] = E - O for a, b <= N/2, and the
-    quarter-turn signs turn M into same[a, b] = R[a, b] and
-    cross[a, b] = g_b R[a, N-b].
+    For even N, m and -m share a class, and v(-m) = diag((-1)^n) v(m)
+    makes C = U cos(pW) U^T zero at odd a - b and S = U sin(pW) U^T zero
+    at even a - b; so U (cos(pW) + sin(pW)) U^T holds both, and the block
+    is that times a real sign.  For odd N, -m lies in the other class,
+    and the block takes C and S apart.
     """
     n, half, h = q.n_qubits, q.n_qubits // 2, q.n_qubits // 2 + 1
     m, _ = _ladder(n)
-    # the h columns with (-1)^(N-k) = +1 first, then the rest
+    # the h columns with reflection sign (-1)^(N-k) = +1 first, then the rest
     eigvals = m[np.r_[n % 2 : n + 1 : 2, 1 - n % 2 : n + 1 : 2]]
     angles = p * eigvals
-    f = np.cos(angles) + np.sin(angles)
     v = _jx_top_rows(n, eigvals)
-    even = (v[:, :h] * f[:h]) @ v[:, :h].T
-    odd = (v[:, h:] * f[h:]) @ v[:, h:].T
-    del v
-    same = even + odd  # M[a, b]
-    cross = np.subtract(even, odd, out=even)  # M[a, N-b]
-    del odd
     cols = np.arange(h)
-    g = (-1.0) ** (n - cols)
-    for a in range(4):
-        same[a::4] *= _QUARTER_TURN_SIGN[(a - cols) % 4]
-        cross[a::4] *= _QUARTER_TURN_SIGN[(a - n + cols) % 4] * g
-    if n % 2:
-        blocks = np.empty(same.shape, dtype=complex)
-        blocks.real = same
-        np.negative(cross, out=blocks.imag)
+    if n % 2 == 0:
+        # the middle row of sign -1 is 0 in exact arithmetic, and pads its block
+        v[half, h:] = 0.0
+        f = np.cos(angles) + np.sin(angles)
+        blocks = np.empty((2, h, h))
+        for k, cls in ((half % 2, slice(0, h)), (1 - half % 2, slice(h, None))):
+            np.matmul(v[:, cls] * f[cls], v[:, cls].T, out=blocks[k])
+        for a in range(4):
+            blocks[:, a::4] *= _QUARTER_TURN_SIGN[(a - cols) % 4]
         return blocks
-    blocks = np.empty((2, *same.shape))
-    np.add(same, cross, out=blocks[0])
-    np.subtract(same, cross, out=blocks[1])
-    # |N/2> lies in the block of g_(N/2) = (-1)^(N/2), and pads the other
-    own = half % 2
-    blocks[1 - own, half] = blocks[1 - own, :, half] = 0.0
-    blocks[own, half] *= math.sqrt(0.5)
-    blocks[own, :, half] *= math.sqrt(0.5)
+    cls = slice(0, h) if half % 2 else slice(h, None)
+    trig = np.empty((2, h, h))
+    for out, fn in zip(trig, (np.cos, np.sin)):
+        np.matmul(v[:, cls] * fn(angles[cls]), v[:, cls].T, out=out)
+    del v
+    blocks = np.empty((h, h), dtype=complex)
+    blocks.real = trig[0]
+    np.negative(trig[1], out=blocks.imag)
+    for a in range(4):
+        blocks[a::4] *= (-1j) ** ((a - cols) % 4)
     return blocks
 
 

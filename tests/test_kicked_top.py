@@ -175,7 +175,7 @@ def g_basis(two_j):
     return basis
 
 
-@pytest.mark.parametrize("two_j", [1, 2, 3, 4, 5, 6, 7, 30, 31])
+@pytest.mark.parametrize("two_j", [1, 2, 3, 4, 5, 6, 7, 30, 31, 200, 201])
 def test_parity_blocks_are_the_g_basis_projection_of_the_complex_route(two_j):
     q = SpinQuantum(two_j)
     basis = g_basis(two_j)
@@ -194,6 +194,25 @@ def test_parity_blocks_are_the_g_basis_projection_of_the_complex_route(two_j):
         else:
             assert blocks.dtype == np.float64 and blocks.shape == (2, h, h)
         assert np.abs(blocks - projected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("two_j", [1000, 1001])
+def test_parity_blocks_stay_unitary_through_the_rescale(two_j):
+    # the Jx recurrence rescales some of its columns 4 times on the way to
+    # the middle row at 2j = 1000, and 3 times at 2j = 1001
+    half = two_j // 2
+    for p in (math.pi / 2.0, 0.37, 2.9):
+        blocks = kicked_top._parity_blocks(SpinQuantum(two_j), p)
+        if two_j % 2:
+            blocks = blocks[None]
+        else:
+            # the smaller block is padded with an exactly zero row and column
+            padded = blocks[1 - half % 2]
+            assert not padded[half].any() and not padded[:, half].any()
+            padded[half, half] = 1.0
+        for block in blocks:
+            gram = block.conj().T @ block
+            assert np.abs(gram - np.eye(half + 1)).max() <= 1e-12
 
 
 def reference_sweep(q, unitaries, theta0, phi0, n_max):
