@@ -204,7 +204,7 @@ def collective_expectations(state: np.ndarray) -> CollectiveExpectations:
         <[S+, Sz]_+>   = sum c_n a*_{n+1} a_n (2 m_n + 1)
         <S+^2>         = sum c_n c_{n+1} a*_{n+2} a_n
 
-    Each sum is divided by <psi|psi> = sum |a_n|^2, so the moments are
+    Each sum is scaled by 1/<psi|psi> = 1/sum |a_n|^2, so the moments are
     those of the normalised state: the drift of a norm within NORM_TOL,
     such as many kicks leave, adds no spurious component to the pair
     matrix.  Every sum runs along its own row, so a row of a stack gives
@@ -241,8 +241,8 @@ def collective_expectations(state: np.ndarray) -> CollectiveExpectations:
         "splus_sz_anti": (hop * (2 * m[:-1] + 1)).sum(axis=-1),
     }
     # a NaN row stays NaN, silently, for the Hermiticity check to report
-    with np.errstate(invalid="ignore"):
-        moments = {name: value / norm2 for name, value in sums.items()}
+    inv_norm2 = 1.0 / norm2
+    moments = {name: value * inv_norm2 for name, value in sums.items()}
     moments["sx2_plus_sy2"] = j * (j + 1) - moments["sz2"]
     if amps.ndim == 1:
         moments = {name: value[0].item() for name, value in moments.items()}
