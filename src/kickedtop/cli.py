@@ -156,13 +156,14 @@ def _qubit_counts(text: str, minimum: int) -> list[int]:
 
 def _spin_from_j(j: float) -> SpinQuantum:
     _real("j", j)
-    # round() raises OverflowError on an infinite 2j: cap j, and clamp it at 0
-    if j > MAX_QUBITS:
-        raise DomainError(f"j = {j} exceeds the cap of {MAX_QUBITS} qubits")
+    # cap 2j before round(), which raises OverflowError on an infinite 2j,
+    # and clamp it at 0 for the same reason; a 2j that rounds to at most
+    # the cap goes on to the half-integer check
+    if 2.0 * j > MAX_QUBITS + 0.5:
+        raise DomainError(f"{2.0 * j:.12g} qubits exceeds the cap of {MAX_QUBITS}")
     two_j = round(2.0 * max(j, 0.0))
     if abs(2.0 * j - two_j) > 1e-9 or two_j < 1:
         raise DomainError(f"j = {j} is not a positive half-integer")
-    _check_size(two_j)
     return SpinQuantum(two_j)
 
 

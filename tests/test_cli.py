@@ -199,6 +199,21 @@ def test_sizes_above_the_cap_exit_two_before_allocating(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "j, message",
+    [
+        ("2048.5", "4097 qubits exceeds the cap of 4096"),
+        ("3000", "6000 qubits exceeds the cap of 4096"),
+        ("5000", "10000 qubits exceeds the cap of 4096"),
+        ("1e308", "inf qubits exceeds the cap of 4096"),
+        ("2048.25", "j = 2048.25 is not a positive half-integer"),
+    ],
+)
+def test_the_spin_cap_names_the_qubit_count(capsys, j, message):
+    code, out, err = run_cli(capsys, "qkt-series", "--j", j, "--kappa0", "1", "--n-max", "2")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("qkt-series", "--j", "1.5", "--kappa0", "1", "--n-max", "10000000000000"),
