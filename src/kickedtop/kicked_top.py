@@ -147,7 +147,7 @@ def _jx_top_rows(n_qubits: int, eigvals: np.ndarray) -> np.ndarray:
             big = (np.abs(v[n : n + 2]) > _RESCALE_AT).any(axis=0)
             if big.any():
                 v[: n + 2, big] *= _RESCALE_STEP
-    # rows a < N/2 stand for |a> and |N-a>: fold them into unit columns over the h rows
+    # a row n < N/2 stands for |n> and |N-n>
     v[: n_qubits - half] *= math.sqrt(2.0)
     v /= np.sqrt(np.einsum("nb,nb->b", v, v))
     # the rescaled far edges of the outer columns end up subnormal, and
