@@ -21,9 +21,7 @@ into two blocks of size N//2 + 1 in the eigenbasis of G:
             block of its eigenvalue g_(N/2); both blocks are real, and
             the smaller is padded with a zero row and column;
     odd N:  (|a> -+ i g_a |N-a>)/sqrt(2); the second block is the complex
-            conjugate of the first, so the engine carries the
-            conjugated second-block coefficients and one complex block
-            acts on both.
+            conjugate of the first.
 
 _parity_blocks builds each block as a function of Jx on one class of
 the reflection n -> N-n, which Jx commutes with: a half-size product of
@@ -31,8 +29,9 @@ the class's eigenvectors folded onto the rows n <= N/2, never the full
 rotation.  _phases gives the torsion phases on the same coordinates.
 _kicks is the one kick loop: K columns in the eigenbasis of G, as a
 (2, N//2+1, K) array, take one matrix product per kick, then the
-torsion phases.  _parity_coords and _jz_amplitudes move columns into
-that basis and back.
+torsion phases.  Row k of that array holds block k's own coordinates
+for either N; _parity_coords and _jz_amplitudes move columns into that
+basis and back, with the basis rows of _g_rows.
 
 `floquet` is one kick of the Jz basis through the blocks.
 `concurrence_sweep` is the engine behind every concurrence series.  For
@@ -159,9 +158,9 @@ def _jx_top_rows(n_qubits: int, eigvals: np.ndarray) -> np.ndarray:
 def _parity_blocks(q: SpinQuantum, p: float) -> np.ndarray:
     """exp(-i p Jy) in the eigenbasis of G (see the module docstring), h = N//2 + 1.
 
-    Returns a real (2, h, h) stack for even N, the blocks of G = +1 and
-    G = -1; for odd N, one complex (h, h) block of G = +i, whose
-    conjugate is the block of G = -i.  The full rotation is never formed.
+    Returns a (2, h, h) stack, the blocks of G = +1 and G = -1 for even
+    N, both real, and of G = +i and G = -i for odd N, the second the
+    exact conjugate of the first.  The full rotation is never formed.
 
     Jy = D Jx D^dagger with D = diag((-i)^n), so exp(-i p Jy) =
     D exp(-i p Jx) D^dagger.  D^dagger maps the G-basis vector of row a
@@ -175,16 +174,16 @@ def _parity_blocks(q: SpinQuantum, p: float) -> np.ndarray:
     makes C = U cos(pW) U^T zero at odd a - b and S = U sin(pW) U^T zero
     at even a - b; so U (cos(pW) + sin(pW)) U^T holds both, and the block
     is that times a real sign.  For odd N, -m lies in the other class,
-    and the block takes C and S apart.
+    and the G = +i block takes C and S apart.
     """
     n, half, h = q.n_qubits, q.n_qubits // 2, q.n_qubits // 2 + 1
     m, _ = _ladder(n)
-    # the h columns with reflection sign (-1)^(N-k) = +1 first, then the rest
-    eigvals = m[np.r_[n % 2 : n + 1 : 2, 1 - n % 2 : n + 1 : 2]]
-    angles = p * eigvals
-    v = _jx_top_rows(n, eigvals)
     cols = np.arange(h)
     if n % 2 == 0:
+        # the h columns with reflection sign (-1)^(N-k) = +1 first, then the rest
+        eigvals = m[np.r_[0 : n + 1 : 2, 1 : n + 1 : 2]]
+        angles = p * eigvals
+        v = _jx_top_rows(n, eigvals)
         # the middle row of sign -1 is 0 in exact arithmetic, and pads its block
         v[half, h:] = 0.0
         f = np.cos(angles) + np.sin(angles)
@@ -194,38 +193,49 @@ def _parity_blocks(q: SpinQuantum, p: float) -> np.ndarray:
         for a in range(4):
             blocks[:, a::4] *= _QUARTER_TURN_SIGN[(a - cols) % 4]
         return blocks
-    cls = slice(0, h) if half % 2 else slice(h, None)
-    trig = np.empty((2, h, h))
-    for out, fn in zip(trig, (np.cos, np.sin)):
-        np.matmul(v[:, cls] * fn(angles[cls]), v[:, cls].T, out=out)
+    # the class of G = +i alone: m_k for k = N//2 mod 2, whose reflection
+    # sign (-1)^(N-k) is (-1)^((N+1)/2)
+    eigvals = m[half % 2 :: 2]
+    v = _jx_top_rows(n, eigvals)
+    cos = np.matmul(v * np.cos(p * eigvals), v.T)
+    sin = np.matmul(v * np.sin(p * eigvals), v.T)
     del v
-    blocks = np.empty((h, h), dtype=complex)
-    blocks.real = trig[0]
-    np.negative(trig[1], out=blocks.imag)
+    blocks = np.empty((2, h, h), dtype=complex)
+    blocks[0].real = cos
+    np.negative(sin, out=blocks[0].imag)
+    del cos, sin  # so that at most four (h, h) float arrays are held at once
     for a in range(4):
-        blocks[a::4] *= (-1j) ** ((a - cols) % 4)
+        blocks[0, a::4] *= (-1j) ** ((a - cols) % 4)
+    np.conj(blocks[0], out=blocks[1])
     return blocks
+
+
+def _g_rows(n_qubits: int, back: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Mirror factor and row scale of the G-basis rows a = 0..N//2, as (N//2+1, 1) columns.
+
+    Going in, block k's coordinate of row a is s_a (x_a +- w g_a x_(N-a))
+    with g_a = (-1)^(N-a), w = 1 for even N and i for odd N, and
+    s_a = 1/sqrt(2); coming back, x_a = s_a (c_0 + c_1) and
+    x_(N-a) = s_a (c_0 - c_1) g_a / w.  The middle row of even N has
+    a = N-a, and s_a is 1/2 going in and 1 coming back: (x + x)/2 = x
+    and (x - x)/2 = 0 exactly, and x_(N/2) is written twice, the same.
+    """
+    a = np.arange(n_qubits // 2 + 1)
+    mirror = (-1.0) ** (n_qubits - a) * (-1j if back else 1j) ** (n_qubits % 2)
+    scale = np.full(a.size, math.sqrt(0.5))
+    scale[n_qubits - n_qubits // 2 :] = 1.0 if back else 0.5  # empty for odd N
+    return mirror[:, None], scale[:, None]
 
 
 def _parity_coords(amps: np.ndarray, n_qubits: int) -> np.ndarray:
     """(2, N//2+1, K) coordinates in the eigenbasis of G of (N+1, K) Jz amplitude columns.
 
-    Row 0 holds the first block's coefficients; row 1 the second
-    block's for even N, their complex conjugates for odd N; this is the
-    form _kicks carries.
+    Row k holds block k's coefficients, the form _kicks carries.
     """
-    half, low = n_qubits // 2, n_qubits - n_qubits // 2
-    top = amps[:low]
-    mirror = amps[::-1][:low] * (-1.0) ** (n_qubits - np.arange(low))[:, None]  # g_a amps[N-a]
-    coords = np.zeros((2, half + 1, amps.shape[1]), dtype=complex)
-    if n_qubits % 2:
-        coords[0] = (top + 1j * mirror) * math.sqrt(0.5)
-        coords[1] = np.conj(top - 1j * mirror) * math.sqrt(0.5)
-    else:
-        coords[0, :low] = (top + mirror) * math.sqrt(0.5)
-        coords[1, :low] = (top - mirror) * math.sqrt(0.5)
-        coords[half % 2, half] = amps[half]
-    return coords
+    mirror, scale = _g_rows(n_qubits, back=False)
+    top = amps[: scale.size]
+    turned = amps[::-1][: scale.size] * mirror
+    return np.stack([(top + turned) * scale, (top - turned) * scale])
 
 
 def _jz_amplitudes(coords: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -233,18 +243,12 @@ def _jz_amplitudes(coords: np.ndarray, n_qubits: int) -> np.ndarray:
 
     The inverse of _parity_coords, for every kick and column at once.
     """
-    half, low = n_qubits // 2, n_qubits - n_qubits // 2
-    first, second = coords[:, 0, :low], coords[:, 1, :low]
-    # g_a / sqrt(2), times -i for odd N, whose basis holds -+i g_a |N-a>
-    mirror_factor = (-1.0) ** (n_qubits - np.arange(low))[:, None] * math.sqrt(0.5)
-    if n_qubits % 2:
-        second = second.conj()
-        mirror_factor = -1j * mirror_factor
+    mirror, scale = _g_rows(n_qubits, back=True)
+    h = scale.size
+    first, second = coords[:, 0], coords[:, 1]
     amps = np.empty((coords.shape[0], coords.shape[-1], n_qubits + 1), dtype=complex)
-    amps[:, :, :low] = ((first + second) * math.sqrt(0.5)).swapaxes(1, 2)
-    amps[:, :, ::-1][:, :, :low] = ((first - second) * mirror_factor).swapaxes(1, 2)
-    if n_qubits % 2 == 0:
-        amps[:, :, half] = coords[:, half % 2, half]
+    amps[:, :, :h] = ((first + second) * scale).swapaxes(1, 2)
+    amps[:, :, ::-1][:, :, :h] = ((first - second) * (mirror * scale)).swapaxes(1, 2)
     return amps
 
 
@@ -252,13 +256,13 @@ def _phases(q: SpinQuantum, kappa0s) -> np.ndarray:
     """Torsion phases exp(-i kappa0 m^2 / (2j)) on the G-basis coordinates, (2, N//2+1, K).
 
     Row a of either block pairs |a> with |N-a>, which share m^2 with
-    m = a - j; the conjugated second block of odd N takes the conjugate
-    phases.  One column per kappa0.
+    m = a - j, so both blocks take the same phases.  One column per
+    kappa0.
     """
     m, _ = _ladder(q.n_qubits)
     h = q.n_qubits // 2 + 1
     torsion = np.exp(-1j * np.asarray(kappa0s, dtype=float) * m[:h, None] ** 2 / (2.0 * q.j))
-    return np.stack([torsion, torsion.conj() if q.n_qubits % 2 else torsion])
+    return np.stack([torsion, torsion])
 
 
 def _kicks(blocks: np.ndarray, phases: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:

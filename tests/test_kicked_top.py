@@ -188,11 +188,8 @@ def test_parity_blocks_are_the_g_basis_projection_of_the_complex_route(two_j):
     for p in (math.pi / 2.0, 0.37, 2.9):
         projected = basis.conj().swapaxes(1, 2) @ complex_route_rotation(q, p) @ basis
         blocks = kicked_top._parity_blocks(q, p)
-        if two_j % 2:
-            assert blocks.dtype == np.complex128 and blocks.shape == (h, h)
-            blocks = np.stack([blocks, blocks.conj()])
-        else:
-            assert blocks.dtype == np.float64 and blocks.shape == (2, h, h)
+        assert blocks.shape == (2, h, h)
+        assert blocks.dtype == (np.complex128 if two_j % 2 else np.float64)
         assert np.abs(blocks - projected).max() <= 1e-13
 
 
@@ -203,9 +200,9 @@ def test_parity_blocks_stay_unitary_through_the_rescale(two_j):
     half = two_j // 2
     for p in (math.pi / 2.0, 0.37, 2.9):
         blocks = kicked_top._parity_blocks(SpinQuantum(two_j), p)
-        if two_j % 2:
-            blocks = blocks[None]
-        else:
+        assert blocks.shape == (2, half + 1, half + 1)
+        assert blocks.dtype == (np.complex128 if two_j % 2 else np.float64)
+        if two_j % 2 == 0:
             # the smaller block is padded with an exactly zero row and column
             padded = blocks[1 - half % 2]
             assert not padded[half].any() and not padded[:, half].any()
@@ -213,6 +210,24 @@ def test_parity_blocks_stay_unitary_through_the_rescale(two_j):
         for block in blocks:
             gram = block.conj().T @ block
             assert np.abs(gram - np.eye(half + 1)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 4, 5, 6, 7, 8, 200, 201])
+def test_parity_coords_and_jz_amplitudes_invert_each_other(two_j):
+    rng = np.random.default_rng(two_j)
+    x = rng.normal(size=(two_j + 1, 3)) + 1j * rng.normal(size=(two_j + 1, 3))
+    coords = kicked_top._parity_coords(x, two_j)
+    back = kicked_top._jz_amplitudes(coords[None], two_j)[0].T
+    assert np.abs(back - x).max() <= 4.0 * np.finfo(float).eps * np.abs(x).max()
+    half = two_j // 2
+    if two_j % 2 == 0:
+        # the middle row goes into the block of g_(N/2) and comes back exactly
+        assert np.array_equal(coords[half % 2, half], x[half])
+        assert not coords[1 - half % 2, half].any()
+        assert np.array_equal(back[half], x[half])
+    else:
+        blocks = kicked_top._parity_blocks(SpinQuantum(two_j), 0.37)
+        assert np.array_equal(blocks[1], blocks[0].conj())
 
 
 def reference_sweep(q, unitaries, theta0, phi0, n_max):
