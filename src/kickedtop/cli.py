@@ -50,9 +50,10 @@ from .spin import SpinQuantum, _count, _real, number_state, spin_coherent
 
 SWEEP_GRID_POINTS = 25
 # Largest 2j or N accepted: at 2j = 4095 and 4096 building the rotation's
-# parity blocks takes 1.0-1.5 s on 2 cores, and a qkt-series run takes
-# 1.3-1.7 s and peaks at 198 MB resident: the interpreter's 28 MB plus five
-# (2j//2 + 1)^2 float arrays, during the block products.
+# parity blocks takes 0.9-1.0 s on 2 cores, and a qkt-series run takes
+# 1.1-1.2 s.  It peaks at 198 MB resident at 2j = 4096, the interpreter's
+# 28 MB plus five (2j//2 + 1)^2 float arrays during the block products,
+# and at 168 MB at 2j = 4095, whose one reflection class needs four.
 MAX_QUBITS = 4096
 # Largest --n-max or --steps accepted; nothing in use needs more than 1e5.
 MAX_STEPS = 10**7
