@@ -9,7 +9,9 @@ every kappa0.
 
 The Lyapunov exponent is estimated by the Benettin method: carry a
 tangent vector through the analytic Jacobian of the map, renormalize
-it every step, and average the log stretch factors.
+it every step, and average the log stretch factors.  One private loop,
+_periods, runs the map and its Jacobian; classical_map and
+tangent_step are one period of it and lyapunov_running is many.
 """
 
 from __future__ import annotations
@@ -61,29 +63,74 @@ def _check_params(kappa0: float, p: float) -> None:
     _real("p", p)
 
 
+def _periods(
+    pt: Vec3,
+    v: Vec3,
+    kappa0: float,
+    p: float,
+    n: int,
+    transient: int = 1,
+    out: list[float] | None = None,
+) -> tuple[Vec3, Vec3, float]:
+    """n periods of the map and its Jacobian from the point pt and the tangent v.
+
+    Each period first divides the carried tangent by the norm the
+    previous period left (1.0 on the first period, which is exact), so a
+    one-period run never divides by its own norm.  The rotation acts on
+    the tangent as the rotation matrix itself; the twist adds the
+    kappa0 * d(z') terms of its Jacobian column.  The result is
+    re-projected onto the tangent plane of the image point, which
+    removes the roundoff-sized normal component the chain rule leaves
+    behind.  From period `transient` on (counting from 0), the log of
+    each projected norm is summed and the running mean appended to out.
+    Returns the last image point, the last projected tangent before
+    renormalisation, and the sum of log stretches.
+    """
+    x, y, z = pt
+    vx, vy, vz = v
+    cp, sp = math.cos(p), math.sin(p)
+    cos, sin, sqrt, log = math.cos, math.sin, math.sqrt, math.log
+    wnorm = 1.0
+    acc = 0.0
+    count = 0
+    for k in range(n):
+        vx, vy, vz = vx / wnorm, vy / wnorm, vz / wnorm
+        xr = x * cp + z * sp
+        zr = z * cp - x * sp
+        dxr = vx * cp + vz * sp
+        dzr = vz * cp - vx * sp
+        theta = kappa0 * zr
+        ct, st = cos(theta), sin(theta)
+        xt = xr * ct - y * st
+        yt = xr * st + y * ct
+        # the twist column of the Jacobian is kappa0 * (-yt, xt)
+        kd = kappa0 * dzr
+        wx = dxr * ct - vy * st - kd * yt
+        wy = dxr * st + vy * ct + kd * xt
+        norm = sqrt(xt * xt + yt * yt + zr * zr)
+        x, y, z = xt / norm, yt / norm, zr / norm
+        dot = wx * x + wy * y + dzr * z
+        vx, vy, vz = wx - dot * x, wy - dot * y, dzr - dot * z
+        wnorm = sqrt(vx * vx + vy * vy + vz * vz)
+        if k >= transient:
+            acc += log(wnorm)
+            count += 1
+            out.append(acc / count)
+    return (x, y, z), (vx, vy, vz), acc
+
+
 def classical_map(pt, kappa0: float, p: float) -> Vec3:
     """One kicked-top period applied to a point on the unit sphere."""
     _check_params(kappa0, p)
-    x, y, z = _sphere_point(pt)
-    cp, sp = math.cos(p), math.sin(p)
-    xr = x * cp + z * sp
-    zr = z * cp - x * sp
-    theta = kappa0 * zr
-    ct, st = math.cos(theta), math.sin(theta)
-    xt = xr * ct - y * st
-    yt = xr * st + y * ct
-    norm = math.sqrt(xt * xt + yt * yt + zr * zr)
-    return (xt / norm, yt / norm, zr / norm)
+    return _periods(_sphere_point(pt), (0.0, 0.0, 0.0), kappa0, p, 1)[0]
 
 
 def tangent_step(pt, v, kappa0: float, p: float) -> Vec3:
     """Push a tangent vector through the Jacobian of classical_map.
 
-    The rotation part acts as the rotation matrix itself; the twist
-    contributes d(theta)/d(z') = kappa0 terms in the z' column.  The
-    result is re-projected onto the tangent plane of the image point,
-    which removes the roundoff-sized normal component the chain rule
-    leaves behind.
+    The result is the tangent at the image point, projected onto its
+    tangent plane and not renormalised: one period of the loop behind
+    lyapunov_running.
     """
     _check_params(kappa0, p)
     x, y, z = _sphere_point(pt)
@@ -92,22 +139,7 @@ def tangent_step(pt, v, kappa0: float, p: float) -> Vec3:
     dot = vx * x + vy * y + vz * z
     if not (math.isfinite(vnorm) and abs(dot) <= TANGENT_TOL * max(1.0, vnorm)):
         raise DomainError(f"v . pt = {dot:.3e} is not 0")
-
-    cp, sp = math.cos(p), math.sin(p)
-    xr = x * cp + z * sp
-    zr = z * cp - x * sp
-    dxr = vx * cp + vz * sp
-    dzr = vz * cp - vx * sp
-
-    theta = kappa0 * zr
-    ct, st = math.cos(theta), math.sin(theta)
-    wx = dxr * ct - vy * st + kappa0 * dzr * (-xr * st - y * ct)
-    wy = dxr * st + vy * ct + kappa0 * dzr * (xr * ct - y * st)
-    wz = dzr
-
-    nx, ny, nz = classical_map(pt, kappa0, p)
-    dot = wx * nx + wy * ny + wz * nz
-    return (wx - dot * nx, wy - dot * ny, wz - dot * nz)
+    return _periods((x, y, z), (vx, vy, vz), kappa0, p, 1)[1]
 
 
 def _seed_tangent(x: float, y: float, z: float, seed: int) -> Vec3:
@@ -160,52 +192,24 @@ def lyapunov_running(
 ) -> list[float]:
     """Running Benettin estimates lambda_k = S_k / k for k = 1..steps.
 
-    The map and Jacobian are inlined in the loop body; a unit test
-    holds the inlined arithmetic equal to classical_map/tangent_step.
-    Raises NumericalError when the tangent norm leaves the float range,
-    which happens for kappa0 beyond about 1e154.
+    classical_map and tangent_step are one period of the same loop, so
+    their tests hold the arithmetic this runs.  Raises NumericalError
+    when the tangent norm leaves the float range, which happens for
+    kappa0 beyond about 1e154.
     """
     _count("steps", steps, 1000)
     _check_params(kappa0, p)
     if not 0 <= _as_int("transient", transient) < steps:
         raise DomainError(f"need 0 <= transient < steps, got transient={transient}")
-    x, y, z = _sphere_point(pt0)
-    vx, vy, vz = _seed_tangent(x, y, z, _as_int("seed", seed))
-
-    cp, sp = math.cos(p), math.sin(p)
+    pt = _sphere_point(pt0)
+    v = _seed_tangent(*pt, _as_int("seed", seed))
     out: list[float] = []
-    acc = 0.0
-    count = 0
-    cos, sin, sqrt, log = math.cos, math.sin, math.sqrt, math.log
     # A tangent norm that overflows makes the next tangent 0 (a division
-    # by zero) or NaN (a non-finite sum); both are caught after the loop.
+    # by zero, or log(0) if its stretch is summed) or NaN (a non-finite
+    # sum, caught after the call).
     try:
-        for k in range(transient + steps):
-            xr = x * cp + z * sp
-            zr = z * cp - x * sp
-            dxr = vx * cp + vz * sp
-            dzr = vz * cp - vx * sp
-            theta = kappa0 * zr
-            ct, st = cos(theta), sin(theta)
-            xt = xr * ct - y * st
-            yt = xr * st + y * ct
-            # the twist column of the Jacobian is kappa0 * (-yt, xt); negation
-            # and rounding commute, so this is tangent_step's arithmetic bit for bit
-            kd = kappa0 * dzr
-            wx = dxr * ct - vy * st - kd * yt
-            wy = dxr * st + vy * ct + kd * xt
-            wz = dzr
-            norm = sqrt(xt * xt + yt * yt + zr * zr)
-            x, y, z = xt / norm, yt / norm, zr / norm
-            dot = wx * x + wy * y + wz * z
-            wx, wy, wz = wx - dot * x, wy - dot * y, wz - dot * z
-            wnorm = sqrt(wx * wx + wy * wy + wz * wz)
-            vx, vy, vz = wx / wnorm, wy / wnorm, wz / wnorm
-            if k >= transient:
-                acc += log(wnorm)
-                count += 1
-                out.append(acc / count)
-    except ZeroDivisionError:
+        acc = _periods(pt, v, kappa0, p, transient + steps, transient, out)[2]
+    except (ZeroDivisionError, ValueError):
         acc = math.nan
     if not math.isfinite(acc):
         raise NumericalError(f"tangent norm left the float range at kappa0 = {kappa0}")

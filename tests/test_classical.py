@@ -9,6 +9,7 @@ import pytest
 from kickedtop import (
     DomainError,
     LyapunovEstimate,
+    NumericalError,
     classical_map,
     lyapunov,
     lyapunov_running,
@@ -125,6 +126,18 @@ def test_tangent_step_output_is_tangent_at_the_image():
         assert abs(np.dot(w, img)) < 1e-12
 
 
+def test_zero_tangent_maps_to_zero():
+    # the zero vector is tangent everywhere, and the loop behind
+    # tangent_step never divides by its norm
+    rng = np.random.default_rng(11)
+    points = [(0.0, 0.0, 1.0), (0.0, -1.0, 0.0), START]
+    points += [random_tangent_pair(rng)[0] for _ in range(5)]
+    for pt in points:
+        for kappa0 in (0.0, 4.1, 1e300):
+            for p in (HALF_PI, 0.37):
+                assert tangent_step(pt, (0.0, 0.0, 0.0), kappa0, p) == (0.0, 0.0, 0.0)
+
+
 def test_tangent_step_rejects_non_tangent_vectors():
     with pytest.raises(DomainError, match=r"^v \. pt = .* is not 0$"):
         tangent_step((0.0, 0.0, 1.0), (0.0, 0.1, 1.0), 1.0, HALF_PI)
@@ -149,6 +162,16 @@ def test_lyapunov_validation():
     for seed in (0.5, math.nan):
         with pytest.raises(DomainError, match=r"^seed must be an integer, got"):
             lyapunov(1.0, HALF_PI, START, 1000, seed=seed)
+
+
+@pytest.mark.parametrize("kappa0", [3e154, 1e300])
+@pytest.mark.parametrize("transient", [0, 100])
+def test_tangent_norm_overflow_is_a_numerical_error(kappa0, transient):
+    # the norm overflows on the first period and the tangent is 0 on the
+    # next; the period after that divides by 0 (transient=100) or, if the
+    # stretch is summed, takes log(0) first (transient=0)
+    with pytest.raises(NumericalError, match=r"^tangent norm left the float range at kappa0 = "):
+        lyapunov_running(kappa0, HALF_PI, START, 1000, transient=transient)
 
 
 def test_lyapunov_regular_and_chaotic_anchors():
@@ -185,9 +208,9 @@ def test_lyapunov_running_is_consistent_with_the_final_estimate():
     ids=["2.7-half_pi", "6.3-half_pi", "1.1-0.37", "5.8-2.9", "0-half_pi"],
 )
 def test_inlined_loop_equals_public_map_and_tangent(kappa0, p):
-    # lyapunov_running inlines the map and Jacobian for speed; hold the
-    # inlined arithmetic to the composable public functions, step by step,
-    # bit for bit
+    # classical_map and tangent_step are one-period runs of the loop that
+    # lyapunov_running runs for many periods; n one-period calls with the
+    # renormalisation done out here equal one n-period run, bit for bit
     steps = 1000
     running = lyapunov_running(kappa0, p, START, steps, transient=0, seed=3)
     pt = START

@@ -8,13 +8,17 @@ import pytest
 from kickedtop import (
     spin_coherent,
     DomainError,
+    KickedTopParams,
     NumericalError,
+    SpinQuantum,
     TwoQubitDensity,
+    coherent_from_angles,
     collective_expectations,
     concurrence_dicke_form,
     concurrence_x_form,
     dicke_concurrence_closed,
     epr_reduce,
+    floquet,
     number_state,
     reduce_symmetric,
     wootters,
@@ -271,3 +275,32 @@ def test_dicke_closed_domain_errors():
     for m in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match=r"^M must be finite, got"):
             dicke_concurrence_closed(4, m)
+
+
+def monogamy_excess(stack):
+    # (N - 1) C^2 - tau_1 on each row, with the one-tangle of one qubit
+    # tau_1 = 1 - (4/N^2)(<Sz>^2 + |<S+>|^2) of Coffman, Kundu and Wootters
+    exp = collective_expectations(stack)
+    n = exp.n_qubits
+    c = wootters(reduce_symmetric(exp)).concurrence
+    tau1 = 1.0 - 4.0 / n**2 * (exp.sz**2 + np.abs(exp.splus) ** 2)
+    return (n - 1) * c**2 - tau1
+
+
+@pytest.mark.parametrize("two_j", [2, 3, 4, 5, 8, 30, 200])
+def test_pair_concurrence_obeys_the_monogamy_bound(two_j):
+    # (N - 1) C^2 <= tau_1 for every N-qubit symmetric state: kicked
+    # stacks across the torsion range, every Dicke state (the W-like
+    # ones saturate it) and spin coherent states
+    eps = np.finfo(float).eps
+    q = SpinQuantum(two_j)
+    for kappa0 in np.linspace(0.0, math.pi * q.j, 13):
+        u = floquet(KickedTopParams(q, float(kappa0)))
+        states = [coherent_from_angles(two_j, 0.9, 0.4)]
+        for _ in range(60):
+            states.append(u @ states[-1])
+        assert np.max(monogamy_excess(np.array(states))) <= 16 * eps, kappa0
+    dicke = np.array([number_state(two_j, n) for n in range(two_j + 1)])
+    assert np.max(monogamy_excess(dicke)) <= 16 * eps
+    coherent = np.array([spin_coherent(two_j, eta) for eta in (0.0, 0.3, 1.0, 4.0)])
+    assert np.max(monogamy_excess(coherent)) <= 16 * eps
