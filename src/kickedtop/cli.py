@@ -46,7 +46,7 @@ from .kicked_top import (
     time_average,
 )
 from .pairwise import collective_expectations, epr_reduce, reduce_symmetric
-from .spin import SpinQuantum, _count, _real, number_state, spin_coherent
+from .spin import POLE_SNAP_TOL, SpinQuantum, _count, _real, number_state, spin_coherent
 
 SWEEP_GRID_POINTS = 25
 # Largest 2j or N accepted: at 2j = 4095 and 4096 building the rotation's
@@ -235,7 +235,9 @@ def cmd_qkt_series(args) -> None:
     params = KickedTopParams(q, kappa0)
     series = concurrence_series(params, args.theta0, args.phi0, args.n_max)
     kicks = range(1, args.n_max + 1)
-    if q.two_j == 3:
+    # the closed form belongs to the |000> start; G takes it to the other
+    # pole by one-qubit rotations, which leave pair concurrence unchanged
+    if q.two_j == 3 and (args.theta0 == 0.0 or abs(args.theta0 - math.pi) <= POLE_SNAP_TOL):
         analytic = analytic_concurrence_series(args.n_max, kappa0)
         _emit(["n", "C", "C_analytic"], [((), zip(kicks, series.concurrence, analytic))], args.out)
     else:
@@ -314,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", required=True, help="comma-separated stereographic parameters")
     p.set_defaults(func=cmd_coherent)
 
-    p = sub.add_parser("qkt-series", help="columns n,C (plus C_analytic when 2j = 3)")
+    p = sub.add_parser("qkt-series", help="columns n,C (plus C_analytic when 2j = 3 from a pole)")
     p.add_argument("--j", required=True, type=float, help="spin size, half-integer")
     _add_kappa_flags(p, as_list=False)
     _add_float_flag(p, "--theta0", "initial polar angle", default=0.0)

@@ -329,6 +329,40 @@ def test_qkt_series_plain_columns_for_other_spins(capsys):
     assert header == ["n", "C"]
 
 
+POLE_SERIES_ARGV = ("qkt-series", "--j", "1.5", "--kappa0", "2.3", "--phi0", "1.1", "--n-max", "6")
+# the bytes of POLE_SERIES_ARGV from the top pole, pinned
+POLE_SERIES_CSV = (
+    "n,C,C_analytic\n"
+    "1,0.313940146225,0.313940146225\n"
+    "2,0.313940146225,0.313940146225\n"
+    "3,0.123900468282,0.123900468282\n"
+    "4,0.123900468282,0.123900468282\n"
+    "5,0.150781237155,0.150781237155\n"
+    "6,0.150781237155,0.150781237155\n"
+)
+
+
+@pytest.mark.parametrize("theta0", ["0", repr(math.pi), "0.7"])
+def test_qkt_series_prints_the_closed_form_only_from_a_pole(capsys, theta0):
+    # the closed form is the series of the |000> start; G takes it to the
+    # bottom pole by one-qubit rotations, so it holds there too, and it
+    # misses a tilted start by up to 0.31 within these 6 kicks
+    code, out, err = run_cli(capsys, *POLE_SERIES_ARGV, "--theta0", theta0)
+    assert (code, err) == (0, "")
+    header, rows = parse(out)
+    c = np.array([float(r[1]) for r in rows])
+    analytic = np.array(analytic_concurrence_series(6, 2.3))
+    if theta0 == "0.7":
+        assert header == ["n", "C"]
+        assert np.abs(c - analytic).max() > 0.3
+    else:
+        assert header == ["n", "C", "C_analytic"]
+        assert [r[1] for r in rows] == [r[2] for r in rows]
+        assert np.abs(c - analytic).max() <= 1e-11
+    if theta0 == "0":
+        assert out == POLE_SERIES_CSV
+
+
 def test_qkt_series_rejects_bad_spin_and_kappa_combinations(capsys):
     code, _, err = run_cli(capsys, "qkt-series", "--j", "1.3", "--kappa0", "1", "--n-max", "5")
     assert code == 2 and "half-integer" in err

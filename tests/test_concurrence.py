@@ -304,3 +304,21 @@ def test_pair_concurrence_obeys_the_monogamy_bound(two_j):
     assert np.max(monogamy_excess(dicke)) <= 16 * eps
     coherent = np.array([spin_coherent(two_j, eta) for eta in (0.0, 0.3, 1.0, 4.0)])
     assert np.max(monogamy_excess(coherent)) <= 16 * eps
+
+
+def test_haar_random_symmetric_states():
+    # a normalised complex Gaussian vector of N + 1 amplitudes is Haar-random
+    # on the symmetric subspace, so the seeded generator is the whole oracle;
+    # Wang, Ghose, Sanders and Hu set chaotic time averages beside these
+    rng = np.random.default_rng(1)
+    eps = np.finfo(float).eps
+    for two_j in (3, 4, 10, 30, 200):
+        z = rng.standard_normal((400, two_j + 1)) + 1j * rng.standard_normal((400, two_j + 1))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        c = wootters(reduce_symmetric(collective_expectations(z))).concurrence
+        assert np.max(c) <= 2.0 / two_j
+        assert np.max(monogamy_excess(z)) <= 16 * eps
+        if two_j == 3:
+            assert 0.25 <= np.mean(c) <= 0.29 and np.count_nonzero(c > 0) >= 398
+        if two_j >= 30:
+            assert not c.any()

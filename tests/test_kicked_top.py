@@ -39,7 +39,7 @@ def test_params_validation():
 
 @pytest.mark.parametrize("two_j, kappa0", [(3, 8e307), (200, 1e305)])
 def test_torsion_overflow_is_a_domain_error(two_j, kappa0):
-    # kappa0 is finite, but kappa0 j^2, which _phases forms, is not
+    # kappa0 is finite, but kappa0 j^2, which the torsion phases form, is not
     with pytest.raises(DomainError, match=r"^kappa0 \* j\^2 = .* overflows the float range$"):
         floquet(KickedTopParams(SpinQuantum(two_j), kappa0))
 
@@ -228,6 +228,66 @@ def test_parity_coords_and_jz_amplitudes_invert_each_other(two_j):
     else:
         blocks = kicked_top._parity_blocks(SpinQuantum(two_j), 0.37)
         assert np.array_equal(blocks[1], blocks[0].conj())
+
+
+def torsion_rows(two_j, kappa0):
+    # t_a = exp(-i kappa0 (a - j)^2 / (2j)) on the G-basis rows a = 0..N//2,
+    # from the formula, as a column
+    a = np.arange(two_j // 2 + 1)
+    return np.exp(-1j * kappa0 * (a - two_j / 2) ** 2 / two_j)[:, None]
+
+
+def spectrum_gap(a, b):
+    # largest distance when each eigenvalue of a takes the nearest unused one of b
+    b, worst = list(b), 0.0
+    for x in a:
+        gaps = np.abs(np.array(b) - x)
+        worst = max(worst, gaps.min())
+        b.pop(int(np.argmin(gaps)))
+    return worst
+
+
+@pytest.mark.parametrize("two_j", [2, 4, 6, 8, 10, 30, 200])
+def test_even_blocks_split_by_row_parity_at_a_quarter_turn(two_j):
+    # at p = pi/2, Rx = exp(-i pi Jx) is +-1 on the rows of each G block; the
+    # G = +1 block commutes with the row parity and the G = -1 block
+    # anticommutes with it, so their entries at odd and even a - b vanish
+    a = np.arange(two_j // 2 + 1)
+    odd = (a[:, None] - a[None, :]) % 2 == 1
+    blocks = kicked_top._parity_blocks(SpinQuantum(two_j), math.pi / 2.0)
+    assert max(np.abs(blocks[0][odd]).max(), np.abs(blocks[1][~odd]).max()) <= 64 * np.finfo(float).eps
+    # at another p the same entries are of order one
+    blocks = kicked_top._parity_blocks(SpinQuantum(two_j), 1.7)
+    assert max(np.abs(blocks[0][odd]).max(), np.abs(blocks[1][~odd]).max()) > 0.1
+
+
+@pytest.mark.parametrize("two_j", [3, 5, 21, 101])
+def test_odd_block_spectra_are_a_quarter_turn_apart_at_a_quarter_turn(two_j):
+    # at p = pi/2, Rx swaps the G = +i and G = -i blocks and takes U to U G^-1,
+    # so spec(U_-i) = -i spec(U_+i)
+    for kappa0 in (0.0, 1.5, 10.0):
+        t = torsion_rows(two_j, kappa0)
+        gaps = []
+        for p in (math.pi / 2.0, 1.7):
+            plus, minus = t * kicked_top._parity_blocks(SpinQuantum(two_j), p)
+            gaps.append(spectrum_gap(np.linalg.eigvals(minus), -1j * np.linalg.eigvals(plus)))
+        assert gaps[0] <= 1e-12 and gaps[1] > 0.05, (kappa0, gaps)
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 4, 5, 8, 21, 40, 201])
+def test_g_block_spectra_make_up_the_floquet_spectrum(two_j):
+    # diag(t) B_k is the Floquet block of G sector k; for even N the block
+    # that does not hold |N/2> drops its last row and column, the padding
+    half = two_j // 2
+    for kappa0 in (0.0, 2.7):
+        for p in (math.pi / 2.0, 0.37):
+            sectors = list(torsion_rows(two_j, kappa0) * kicked_top._parity_blocks(SpinQuantum(two_j), p))
+            if two_j % 2 == 0:
+                sectors[1 - half % 2] = sectors[1 - half % 2][:half, :half]
+            levels = np.concatenate([np.linalg.eigvals(s) for s in sectors])
+            full = np.linalg.eigvals(floquet(KickedTopParams(SpinQuantum(two_j), kappa0, p)))
+            assert levels.size == two_j + 1
+            assert spectrum_gap(levels, full) <= 1e-12, (kappa0, p)
 
 
 def reference_sweep(q, unitaries, theta0, phi0, n_max):
