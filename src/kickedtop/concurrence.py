@@ -14,9 +14,11 @@ stable, so no lambda is ever recovered from a square root of a
 roundoff-sized eigenvalue.
 
 Structured shortcuts (`concurrence_dicke_form`, `concurrence_x_form`)
-cover the sparsity patterns produced by :mod:`.pairwise`; they are kept
-deliberately independent of `wootters` so either route can check the
-other.
+cover the sparsity patterns produced by :mod:`.pairwise`.  Each checks
+its pattern and then applies the one closed form for X-shaped matrices,
+C = 2 max(0, |rho_30| - sqrt(rho_11 rho_22), |rho_21| - sqrt(rho_00 rho_33))
+(Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007)).  They use neither
+`wootters` nor the Cholesky factor, so either route can check the other.
 """
 
 from __future__ import annotations
@@ -110,51 +112,50 @@ def wootters(rho) -> ConcurrenceResult:
     return ConcurrenceResult(concurrence, c_lambda, lam)
 
 
+def _x_state_concurrence(r: np.ndarray) -> float:
+    """Concurrence of one X-shaped 4x4 matrix r (no one-flip coherences).
+
+    C = 2 max(0, |r_30| - sqrt(r_11 r_22), |r_21| - sqrt(r_00 r_33))
+    (Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007)), with the
+    diagonals clipped at 0 so that a roundoff-negative one takes no
+    square root.  It holds for any X state: the inner diagonals may
+    differ and both coherences may be complex, of either sign.
+    """
+    d = np.maximum(r.diagonal().real, 0.0)
+    return 2.0 * max(0.0, abs(r[3, 0]) - math.sqrt(d[1] * d[2]), abs(r[2, 1]) - math.sqrt(d[0] * d[3]))
+
+
+def _one_flip(r: np.ndarray) -> float:
+    """Largest one-flip coherence |r_10|, |r_20|, |r_31|, |r_32|; an X state has none."""
+    return max(abs(r[1, 0]), abs(r[2, 0]), abs(r[3, 1]), abs(r[3, 2]))
+
+
 def concurrence_dicke_form(rho) -> float:
     """Concurrence shortcut for the Dicke-state sparsity pattern.
 
     Valid when the matrix has no corner coherence and no one-flip
-    coherences (u = x_plus = x_minus = 0, y real); then
-    C = 2 max(0, y - sqrt(v_plus v_minus)).
+    coherences (u = x_plus = x_minus = 0, y real); the X-state formula
+    then reads C = 2 max(0, |y| - sqrt(v_plus v_minus)), which is 1 on
+    the singlet.
     """
-    dm = _single_matrix(rho)
-    r = dm.rho
-    off = max(
-        abs(r[3, 0]),
-        abs(r[1, 0]),
-        abs(r[2, 0]),
-        abs(r[3, 1]),
-        abs(r[3, 2]),
-        abs(dm.y.imag),
-    )
+    r = _single_matrix(rho).rho
+    off = max(abs(r[3, 0]), _one_flip(r), abs(r[2, 1].imag))
     if off > STRUCTURE_TOL:
         raise DomainError(f"matrix is not in Dicke form: off-pattern magnitude {off:.3e}")
-    prod = max(dm.v_plus, 0.0) * max(dm.v_minus, 0.0)
-    return 2.0 * max(0.0, dm.y.real - math.sqrt(prod))
+    return _x_state_concurrence(r)
 
 
 def concurrence_x_form(rho) -> float:
     """Concurrence shortcut for X-shaped matrices (x_plus = x_minus = 0).
 
-    C = 2 max(0, |u| - w, |y| - sqrt(v_plus v_minus)).
-
-    The |u| - w term reads a single inner-diagonal value, so the
-    formula additionally needs the two inner diagonals equal; that
-    holds for every swap-symmetric reduction this package produces.
+    C = 2 max(0, |u| - sqrt(rho_11 rho_22), |y| - sqrt(v_plus v_minus)),
+    for unequal inner diagonals and complex u and y alike.
     """
-    dm = _single_matrix(rho)
-    r = dm.rho
-    off = max(
-        abs(r[1, 0]),
-        abs(r[2, 0]),
-        abs(r[3, 1]),
-        abs(r[3, 2]),
-        abs(r[1, 1] - r[2, 2]),
-    )
+    r = _single_matrix(rho).rho
+    off = _one_flip(r)
     if off > STRUCTURE_TOL:
         raise DomainError(f"matrix is not a symmetric X shape: off-pattern magnitude {off:.3e}")
-    prod = max(dm.v_plus, 0.0) * max(dm.v_minus, 0.0)
-    return 2.0 * max(0.0, abs(dm.u) - dm.w, abs(dm.y) - math.sqrt(prod))
+    return _x_state_concurrence(r)
 
 
 def dicke_concurrence_closed(n_qubits: int, m: float) -> float:
@@ -177,7 +178,5 @@ def dicke_concurrence_closed(n_qubits: int, m: float) -> float:
         raise DomainError(f"|M| = {abs(m)} exceeds N/2 = {n_qubits / 2}")
     a = n_qubits**2 - two_m_int**2
     b = (n_qubits - 2) ** 2 - two_m_int**2
-    if a == 0:
-        return 0.0
     num = a - math.sqrt(a * b)
     return max(0.0, num / (2.0 * n_qubits * (n_qubits - 1)))

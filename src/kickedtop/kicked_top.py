@@ -358,7 +358,11 @@ def concurrence_series(
 
 
 def _check_burn_in(burn_in: int, n_max: int) -> None:
-    """DomainError unless burn_in is an integer in 0..n_max-1, so it leaves an entry to average."""
+    """DomainError unless n_max >= 1 and burn_in is in 0..n_max-1, so an entry is left to average.
+
+    n_max is checked first, so a run of no kicks is named as such.
+    """
+    n_max = _count("n_max", n_max, 1)
     if _count("burn_in", burn_in, 0) >= n_max:
         raise DomainError(f"burn_in {burn_in} leaves no entries out of {n_max}")
 

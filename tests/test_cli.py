@@ -173,6 +173,25 @@ def test_an_empty_list_exits_two(capsys, argv, noun, text):
     assert (code, out, err) == (2, "", f"error: expected comma-separated {noun}, got none in {text}\n")
 
 
+@pytest.mark.parametrize("command", ["qkt-series", "qkt-sweep"])
+@pytest.mark.parametrize("n_max", ["0", "-2"])
+def test_no_kicks_exits_two_naming_n_max(capsys, command, n_max):
+    code, out, err = run_cli(capsys, command, "--j", "1.5", "--kappa0", "1", "--n-max", n_max)
+    assert (code, out, err) == (2, "", f"error: n_max must be >= 1, got {n_max}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qkt-series", "--j", "1.5", "--kappa0", "1,2", "--n-max", "2"),
+        ("analytic3", "--kappa", "0.1,0.2", "--n-max", "2"),
+    ],
+)
+def test_a_second_twist_strength_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: expected a single twist strength, got 2\n")
+
+
 def test_a_single_qubit_spin_exits_two_with_the_count_message(capsys):
     code, out, err = run_cli(capsys, "qkt-series", "--j", "0.5", "--kappa0", "1", "--n-max", "2")
     assert (code, out, err) == (2, "", "error: n_qubits must be >= 2, got 1\n")

@@ -235,14 +235,52 @@ def test_x_form_agrees_with_wootters_on_random_x_matrices():
         assert concurrence_x_form(rho) == pytest.approx(wootters(rho).concurrence, abs=1e-10)
 
 
+def random_x_state(rng, dicke_pattern):
+    # diagonal d, and coherences within |rho_30|^2 <= d0 d3 and
+    # |rho_21|^2 <= d1 d2 so that rho is positive: complex u and y with
+    # unequal inner diagonals, or u = 0 and y real of either sign
+    d = rng.random(4)
+    d /= d.sum()
+    rho = np.diag(d).astype(complex)
+    if dicke_pattern:
+        rho[2, 1] = rng.uniform(-1.0, 1.0) * math.sqrt(d[1] * d[2])
+    else:
+        rho[3, 0] = rng.random() * math.sqrt(d[0] * d[3]) * np.exp(2j * math.pi * rng.random())
+        rho[2, 1] = rng.random() * math.sqrt(d[1] * d[2]) * np.exp(2j * math.pi * rng.random())
+    rho[0, 3], rho[1, 2] = rho[3, 0].conjugate(), rho[2, 1].conjugate()
+    return rho
+
+
+@pytest.mark.parametrize("dicke_pattern", [False, True], ids=["x-state", "dicke-pattern"])
+def test_shortcuts_agree_with_wootters_on_any_x_state(dicke_pattern):
+    rng = np.random.default_rng(30 + dicke_pattern)
+    stack = np.array([random_x_state(rng, dicke_pattern) for _ in range(1000)])
+    assert np.abs(stack[:, 1, 1] - stack[:, 2, 2]).max() > 0.5
+    full = wootters(stack).concurrence
+    assert (full > 0.1).sum() > 100  # not only separable states
+    shortcuts = [concurrence_x_form]
+    if dicke_pattern:
+        assert (stack[:, 2, 1].real < 0).sum() > 400  # y of either sign
+        shortcuts.insert(0, concurrence_dicke_form)
+    for shortcut in shortcuts:
+        got = np.array([shortcut(rho) for rho in stack])
+        assert np.abs(got - full).max() <= 1e-12, shortcut.__name__
+
+
+def test_shortcuts_give_one_on_the_singlet():
+    singlet = np.outer(PSI_MINUS, PSI_MINUS.conj())
+    assert concurrence_dicke_form(singlet) == pytest.approx(1.0, abs=1e-15)
+    assert concurrence_x_form(singlet) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_shortcuts_reject_off_pattern_matrices():
     with pytest.raises(DomainError, match=r"^matrix is not in Dicke form"):
         concurrence_dicke_form(epr_reduce(3))  # corner coherence present
     with pytest.raises(DomainError, match=r"^matrix is not in Dicke form"):
         concurrence_dicke_form(BELL)
     lopsided = np.diag([0.4, 0.35, 0.15, 0.1]).astype(complex)
-    with pytest.raises(DomainError, match=r"^matrix is not a symmetric X shape"):
-        concurrence_x_form(lopsided)  # inner diagonals differ
+    # unequal inner diagonals are an X shape too
+    assert concurrence_x_form(lopsided) == wootters(lopsided).concurrence == 0.0
     coherent_pair = reduce_symmetric(
         collective_expectations(spin_coherent(4, 0.8))
     )  # physical, but carries one-flip coherences

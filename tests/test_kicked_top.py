@@ -290,6 +290,43 @@ def test_g_block_spectra_make_up_the_floquet_spectrum(two_j):
             assert spectrum_gap(levels, full) <= 1e-12, (kappa0, p)
 
 
+@pytest.mark.parametrize("two_j", [2, 4, 6, 8, 10, 30, 200, 202])
+def test_even_minus_block_levels_pair_up_half_a_turn_apart_at_a_quarter_turn(two_j):
+    # at p = pi/2 the G = -1 block anticommutes with the row parity
+    # P = diag((-1)^a), and so does diag(t) B_-1, as P commutes with diag(t):
+    # its levels come in pairs phi, phi + pi, that is spec = -spec
+    half = two_j // 2
+    for kappa0 in (0.0, 1.5, 10.0):
+        t = torsion_rows(two_j, kappa0)
+        gaps = []
+        for p in (math.pi / 2.0, 1.7):
+            minus = (t * kicked_top._parity_blocks(SpinQuantum(two_j), p))[1]
+            if half % 2 == 0:
+                minus = minus[:half, :half]  # the padded row and column
+            levels = np.linalg.eigvals(minus)
+            gaps.append(spectrum_gap(levels, -levels))
+        assert gaps[0] <= 1e-12 and gaps[1] > 0.1, (kappa0, gaps)
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 4, 5, 8, 21, 40, 201])
+def test_g_block_levels_at_zero_torsion_are_the_rotation_phases_of_their_sector(two_j):
+    # at kappa0 = 0 the period is exp(-i p Jy), whose level exp(-i p m) has
+    # G = exp(-i pi Jy) eigenvalue exp(-i pi m); block k holds exactly the
+    # m with exp(-i pi m) = g_k, g = (1, -1) for even N and (i, -i) for odd N
+    half = two_j // 2
+    m = np.arange(two_j + 1) - two_j / 2.0
+    g = (1.0, -1.0) if two_j % 2 == 0 else (1j, -1j)
+    for p in (math.pi / 2.0, 0.37, 2.9):
+        blocks = list(kicked_top._parity_blocks(SpinQuantum(two_j), p))
+        if two_j % 2 == 0:
+            blocks[1 - half % 2] = blocks[1 - half % 2][:half, :half]
+        for block, g_k in zip(blocks, g):
+            expected = np.exp(-1j * p * m[np.abs(np.exp(-1j * math.pi * m) - g_k) < 1e-9])
+            levels = np.linalg.eigvals(block)
+            assert levels.size == expected.size, (p, g_k)
+            assert spectrum_gap(levels, expected) <= 1e-12, (p, g_k)
+
+
 def reference_sweep(q, unitaries, theta0, phi0, n_max):
     # the full-size loop: u @ psi per kick, then the moments and wootters
     series = []

@@ -128,6 +128,13 @@ def test_unnormalised_states_are_domain_errors():
     collective_expectations(number_state(3, 1) * math.sqrt(1.0 + 1e-7))
 
 
+def test_inputs_of_the_wrong_shape_are_domain_errors():
+    with pytest.raises(DomainError, match=r"^expected amplitudes or a stack of them, got shape \(2, 2, 4\)$"):
+        collective_expectations(np.zeros((2, 2, 4)))
+    with pytest.raises(DomainError, match=r"^need at least one n_qubits, got \[\]$"):
+        epr_reduce([])
+
+
 def test_the_pair_trace_is_one_for_any_moments():
     # v+ + v- + 2w = (4N^2 - 4N) / (4N(N-1)) whatever the moments, so the
     # norm check of collective_expectations is the only guard against an
