@@ -154,7 +154,7 @@ def concurrence_x_form(rho) -> float:
     r = _single_matrix(rho).rho
     off = _one_flip(r)
     if off > STRUCTURE_TOL:
-        raise DomainError(f"matrix is not a symmetric X shape: off-pattern magnitude {off:.3e}")
+        raise DomainError(f"matrix is not an X shape: off-pattern magnitude {off:.3e}")
     return _x_state_concurrence(r)
 
 

@@ -5,7 +5,7 @@ density matrix, and it is determined entirely by collective first and
 second moments (Wang and Molmer, Eur. Phys. J. D 18, 385, 2002).  Each
 moment is an O(N) sum along the J+ ladder over the N+1 amplitudes, so no
 collective operator is ever formed.  The matrix lives on the basis
-{|00>, |01>, |10>, |11>} and has the named entries
+{|00>, |01>, |10>, |11>}, and reduce_symmetric names its entries
 
         [ v+   x+*  x+*  u*  ]
         [ x+   w    y    x-* ]
@@ -102,10 +102,10 @@ def _pivoted_cholesky(a: np.ndarray, floor: np.ndarray) -> tuple[np.ndarray, np.
 
 @dataclass(frozen=True)
 class TwoQubitDensity:
-    """4x4 two-qubit density matrix with named entry accessors.
+    """Validated 4x4 two-qubit density matrix and its Cholesky factor.
 
-    rho is one (4, 4) matrix, or a (T, 4, 4) stack whose accessors
-    return (T,) arrays.  factor is the (4, r) or (T, 4, r) X with
+    rho is one (4, 4) matrix or a (T, 4, 4) stack, laid out as in the
+    module docstring's picture.  factor is the (4, r) or (T, 4, r) X with
     rho = X X^dagger to roundoff, made by the positivity check in
     from_matrix and kept so that consumers need not factor rho again.
     Its columns are in pivot order, r is the largest rank kept in the
@@ -157,38 +157,6 @@ class TwoQubitDensity:
         if single:
             return cls(rho=sym[0], factor=x[0])
         return cls(rho=sym, factor=x)
-
-    def _entry(self, row: int, col: int):
-        # [()] turns the 0-d result for one matrix into a scalar.
-        return self.rho[..., row, col][()]
-
-    @property
-    def v_plus(self) -> float | np.ndarray:
-        return self._entry(0, 0).real
-
-    @property
-    def v_minus(self) -> float | np.ndarray:
-        return self._entry(3, 3).real
-
-    @property
-    def w(self) -> float | np.ndarray:
-        return self._entry(1, 1).real
-
-    @property
-    def y(self) -> complex | np.ndarray:
-        return self._entry(2, 1)
-
-    @property
-    def u(self) -> complex | np.ndarray:
-        return self._entry(3, 0)
-
-    @property
-    def x_plus(self) -> complex | np.ndarray:
-        return self._entry(1, 0)
-
-    @property
-    def x_minus(self) -> complex | np.ndarray:
-        return self._entry(3, 1)
 
 
 def collective_expectations(state: np.ndarray) -> CollectiveExpectations:

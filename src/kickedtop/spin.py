@@ -82,7 +82,7 @@ def _ladder(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 
 def number_state(n_qubits: int, n: int) -> np.ndarray:
     """|n>: exactly n qubits in |0>, an eigenstate of Jz with m = n - N/2."""
-    n_qubits = _as_int("n_qubits", n_qubits)
+    n_qubits = _count("n_qubits", n_qubits, 1)
     n = _as_int("n", n)
     if not 0 <= n <= n_qubits:
         raise DomainError(f"n = {n} outside 0..{n_qubits}")

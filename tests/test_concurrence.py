@@ -284,7 +284,7 @@ def test_shortcuts_reject_off_pattern_matrices():
     coherent_pair = reduce_symmetric(
         collective_expectations(spin_coherent(4, 0.8))
     )  # physical, but carries one-flip coherences
-    with pytest.raises(DomainError, match=r"^matrix is not a symmetric X shape"):
+    with pytest.raises(DomainError, match=r"^matrix is not an X shape"):
         concurrence_x_form(coherent_pair)
     with pytest.raises(DomainError, match=r"^matrix is not in Dicke form"):
         concurrence_dicke_form(coherent_pair)

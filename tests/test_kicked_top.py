@@ -401,6 +401,29 @@ def test_series_is_six_pi_periodic_in_torsion():
         assert ca == pytest.approx(cb, abs=1e-12)
 
 
+@pytest.mark.parametrize("two_j", [3, 4, 201, 1000, 1001])
+def test_series_keeps_its_exact_symmetries(two_j):
+    # C is unchanged by collective rotations, and at p = pi/2 Rx U Rx^dagger
+    # = U G^-1, so the Rx image (pi - theta0, -phi0) and the z image
+    # (theta0, phi0 + pi) of the start give the same series.  The torsion
+    # phases kappa0 m^2 / (2j) make it periodic in kappa0 with period 4 pi j.
+    q = SpinQuantum(two_j)
+    kappa0, theta0, phi0, n_max = 2.5, 0.9, 0.4, 30
+    shifted = kappa0 + 4.0 * math.pi * q.j
+    base, period = concurrence_sweep(q, [kappa0, shifted], theta0, phi0, n_max)
+    for image in ((math.pi - theta0, -phi0), (theta0, phi0 + math.pi)):
+        other = concurrence_series(KickedTopParams(q, kappa0), *image, n_max)
+        assert np.abs(other.concurrence - base.concurrence).max() <= 1e-13
+    # a torsion phase reaches shifted * j / 2 rad, so each kick rounds it off by
+    # up to about shifted * j * eps, and n_max kicks add that up
+    eps = np.finfo(float).eps
+    assert np.abs(period.concurrence - base.concurrence).max() <= n_max * shifted * q.j * eps
+    # away from the quarter turn the Rx image is a different series
+    start = concurrence_series(KickedTopParams(q, kappa0, 1.7), theta0, phi0, n_max)
+    rx = concurrence_series(KickedTopParams(q, kappa0, 1.7), math.pi - theta0, -phi0, n_max)
+    assert np.abs(rx.concurrence - start.concurrence).max() > 1e-4
+
+
 def test_sweep_columns_equal_single_series_across_kick_blocks(monkeypatch):
     q = SpinQuantum(5)
     grid = [0.0, 1.7, 2.4, 6.0]

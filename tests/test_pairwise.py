@@ -87,12 +87,13 @@ def test_reduce_symmetric_matches_tensor_partial_trace():
 def test_reduced_matrix_trace_identity_and_swap_symmetry():
     rng = np.random.default_rng(9)
     for n_qubits in (2, 4, 7, 11):
-        dm = reduce_symmetric(collective_expectations(random_symmetric_state(rng, n_qubits)))
-        assert abs(dm.v_plus + dm.v_minus + 2.0 * dm.w - 1.0) < 1e-12
+        r = reduce_symmetric(collective_expectations(random_symmetric_state(rng, n_qubits))).rho
+        # v+ + v- + 2w
+        assert abs(r[0, 0].real + r[3, 3].real + 2.0 * r[1, 1].real - 1.0) < 1e-12
         # pair swap symmetry: the two one-flip coherences coincide and y is real
-        np.testing.assert_allclose(dm.rho[1, 0], dm.rho[2, 0], atol=1e-12)
-        np.testing.assert_allclose(dm.rho[3, 1], dm.rho[3, 2], atol=1e-12)
-        assert abs(dm.y.imag) < 1e-12
+        np.testing.assert_allclose(r[1, 0], r[2, 0], atol=1e-12)
+        np.testing.assert_allclose(r[3, 1], r[3, 2], atol=1e-12)
+        assert abs(r[2, 1].imag) < 1e-12
 
 
 def test_coherent_state_reduces_to_the_exact_pair_product():
@@ -279,7 +280,7 @@ def test_a_product_state_with_roundoff_noise_is_accepted_and_separable():
     assert (result.concurrence, result.c_lambda) == (0.0, 0.0)
 
 
-def test_from_matrix_named_accessors():
+def test_from_matrix_keeps_a_hermitian_matrix_bit_for_bit():
     rho = np.array(
         [
             [0.40, 0.02 - 0.01j, 0.02 - 0.01j, 0.05 - 0.02j],
@@ -288,14 +289,8 @@ def test_from_matrix_named_accessors():
             [0.05 + 0.02j, 0.01 + 0.03j, 0.01 + 0.03j, 0.30],
         ]
     )
-    dm = TwoQubitDensity.from_matrix(rho)
-    assert dm.v_plus == pytest.approx(0.40)
-    assert dm.v_minus == pytest.approx(0.30)
-    assert dm.w == pytest.approx(0.15)
-    assert dm.y == pytest.approx(0.10)
-    assert dm.u == pytest.approx(0.05 + 0.02j)
-    assert dm.x_plus == pytest.approx(0.02 + 0.01j)
-    assert dm.x_minus == pytest.approx(0.01 + 0.03j)
+    # exactly Hermitian, so hermitizing gives (a + a)/2 == a on every entry
+    assert np.array_equal(TwoQubitDensity.from_matrix(rho).rho, rho)
 
 
 def test_epr_expectations_closed_sums():
@@ -329,10 +324,11 @@ def test_epr_reduce_beyond_the_int64_square():
 
 
 def test_epr_reduce_structure():
-    dm = epr_reduce(4)
-    assert abs(dm.x_plus) < 1e-15 and abs(dm.x_minus) < 1e-15
-    assert abs(dm.y) < 1e-15
-    assert abs(dm.v_plus - dm.v_minus) < 1e-15
-    assert abs(dm.v_plus + dm.v_minus + 2 * dm.w - 1.0) < 1e-12
+    r = epr_reduce(4).rho
+    # x+, x-, y, v+ - v- and v+ + v- + 2w
+    assert abs(r[1, 0]) < 1e-15 and abs(r[3, 1]) < 1e-15
+    assert abs(r[2, 1]) < 1e-15
+    assert abs(r[0, 0].real - r[3, 3].real) < 1e-15
+    assert abs(r[0, 0].real + r[3, 3].real + 2 * r[1, 1].real - 1.0) < 1e-12
     with pytest.raises(DomainError):
         epr_reduce(0)

@@ -132,6 +132,7 @@ def test_a_bool_is_not_a_count(maker, flag):
     "maker, count, message",
     [
         ("SpinQuantum", 0, "two_j must be >= 1, got 0"),
+        ("number_state-N", 0, "n_qubits must be >= 1, got 0"),
         ("spin_coherent", 0, "n_qubits must be >= 1, got 0"),
         ("coherent_from_angles", 0, "n_qubits must be >= 1, got 0"),
         ("epr_expectations", 0, "n_qubits must be >= 1, got 0"),
