@@ -174,7 +174,7 @@ def _resolve_kappa0(kappa0: str | None, kappa: str | None) -> list[float]:
         raise DomainError("give exactly one of --kappa0 and --kappa")
     if kappa0 is not None:
         return _list(kappa0, float)
-    return [6.0 * k for k in _list(kappa, float)]
+    return [6.0 * _real("kappa", k, 0) for k in _list(kappa, float)]
 
 
 def _resolve_kappa0_single(kappa0: str | None, kappa: str | None) -> float:

@@ -134,8 +134,8 @@ def concurrence_dicke_form(rho) -> float:
     """Concurrence shortcut for the Dicke-state sparsity pattern.
 
     Valid when the matrix has no corner coherence and no one-flip
-    coherences (u = x_plus = x_minus = 0, y real); the X-state formula
-    then reads C = 2 max(0, |y| - sqrt(v_plus v_minus)), which is 1 on
+    coherences (u = x_plus = x_minus = 0, rho_21 real); the X-state formula
+    then reads C = 2 max(0, |rho_21| - sqrt(v_plus v_minus)), which is 1 on
     the singlet.
     """
     r = _single_matrix(rho).rho
@@ -148,8 +148,8 @@ def concurrence_dicke_form(rho) -> float:
 def concurrence_x_form(rho) -> float:
     """Concurrence shortcut for X-shaped matrices (x_plus = x_minus = 0).
 
-    C = 2 max(0, |u| - sqrt(rho_11 rho_22), |y| - sqrt(v_plus v_minus)),
-    for unequal inner diagonals and complex u and y alike.
+    C = 2 max(0, |u| - sqrt(rho_11 rho_22), |rho_21| - sqrt(v_plus v_minus)),
+    for unequal inner diagonals and complex u and rho_21 alike.
     """
     r = _single_matrix(rho).rho
     off = _one_flip(r)

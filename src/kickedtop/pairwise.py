@@ -8,16 +8,18 @@ collective operator is ever formed.  The matrix lives on the basis
 {|00>, |01>, |10>, |11>}, and reduce_symmetric names its entries
 
         [ v+   x+*  x+*  u*  ]
-        [ x+   w    y    x-* ]
-        [ x+   y    w    x-* ]
+        [ x+   w    w    x-* ]
+        [ x+   w    w    x-* ]
         [ u    x-   x-   v-  ]
 
-with y real for symmetric states (swap symmetry forces it).  A stack of
-T states gives a (T, 4, 4) stack of these matrices in one call.
+Every pair of a symmetric state lives on the triplet, so <01|rho|10> =
+<01|rho|01> = w and the two inner rows are one row written twice.  A
+stack of T states gives a (T, 4, 4) stack of these matrices in one call.
 TwoQubitDensity.from_matrix validates a stack, and its positivity check
 factors each matrix as X X^dagger by pivoted Cholesky, a factor that
 wootters reuses.  The singlet lies in the kernel of every symmetric pair
-matrix, so the factor of a reduced state has rank 3 at most.
+matrix by construction, so the factor of a reduced state has rank 3 at
+most.
 """
 
 from __future__ import annotations
@@ -47,14 +49,13 @@ _EPS = float(np.finfo(float).eps)
 class CollectiveExpectations:
     """First and second collective moments of a symmetric state.
 
-    Each moment is a number for one state and a (T,) array for a
-    stack of T states.
+    These five moments fix the pair matrix.  Each moment is a number for
+    one state and a (T,) array for a stack of T states.
     """
 
     n_qubits: int
     sz: float | np.ndarray
     sz2: float | np.ndarray
-    sx2_plus_sy2: float | np.ndarray
     splus: complex | np.ndarray
     splus2: complex | np.ndarray
     splus_sz_anti: complex | np.ndarray    # <[S+, Sz]_+>
@@ -176,8 +177,7 @@ def collective_expectations(state: np.ndarray) -> CollectiveExpectations:
     those of the normalised state: the drift of a norm within NORM_TOL,
     such as many kicks leave, adds no spurious component to the pair
     matrix.  Every sum runs along its own row, so a row of a stack gives
-    the same moments as that state alone.  <Sx^2 + Sy^2> comes from
-    j(j+1) - <Sz^2>, exact on the symmetric subspace.
+    the same moments as that state alone.
 
     A state whose sum |a_n|^2 is off 1 by more than NORM_TOL raises
     DomainError, and nothing later would catch it: the trace of the
@@ -194,7 +194,6 @@ def collective_expectations(state: np.ndarray) -> CollectiveExpectations:
     a = np.atleast_2d(amps)
     n = a.shape[-1] - 1
     m, c = _ladder(n)
-    j = n / 2
     prob = a.real**2 + a.imag**2
     norm2 = prob.sum(axis=-1)
     # written as not-above, so that a NaN passes on to the Hermiticity check
@@ -211,7 +210,6 @@ def collective_expectations(state: np.ndarray) -> CollectiveExpectations:
     # a NaN row stays NaN, silently, for the Hermiticity check to report
     inv_norm2 = 1.0 / norm2
     moments = {name: value * inv_norm2 for name, value in sums.items()}
-    moments["sx2_plus_sy2"] = j * (j + 1) - moments["sz2"]
     if amps.ndim == 1:
         moments = {name: value[0].item() for name, value in moments.items()}
     return CollectiveExpectations(n_qubits=n, **moments)
@@ -227,15 +225,14 @@ def reduce_symmetric(exp: CollectiveExpectations) -> TwoQubitDensity:
     v_plus = (n * n - 2 * n + 4 * exp.sz2 + 4 * exp.sz * (n - 1)) / denom4
     v_minus = (n * n - 2 * n + 4 * exp.sz2 - 4 * exp.sz * (n - 1)) / denom4
     w = (n * n - 4 * exp.sz2) / denom4
-    y = (2 * exp.sx2_plus_sy2 - n) / (2 * n * (n - 1))
     u = exp.splus2 / (n * (n - 1))
     x_plus = ((n - 1) * exp.splus + exp.splus_sz_anti) / (2 * n * (n - 1))
     x_minus = ((n - 1) * exp.splus - exp.splus_sz_anti) / (2 * n * (n - 1))
     rho = np.array(
         [
             [v_plus, x_plus.conjugate(), x_plus.conjugate(), u.conjugate()],
-            [x_plus, w, y, x_minus.conjugate()],
-            [x_plus, y, w, x_minus.conjugate()],
+            [x_plus, w, w, x_minus.conjugate()],
+            [x_plus, w, w, x_minus.conjugate()],
             [u, x_minus, x_minus, v_minus],
         ],
         dtype=complex,
@@ -265,9 +262,9 @@ def epr_reduce(n_qubits: int | Sequence[int]) -> TwoQubitDensity:
 
     Diagonal-plus-corner form: w = 1/4 - <J1z J2z>/N^2 on the inner
     diagonal, corner u = <J1+ J2+>/N^2, v = (1 - 2w)/2 at both ends,
-    x and y identically zero.  A sequence of counts gives the stack of
-    their matrices, in order; each count goes through the one count rule,
-    and the first bad one is named.
+    x and the inner coherence rho_21 identically zero.  A sequence of
+    counts gives the stack of their matrices, in order; each count goes
+    through the one count rule, and the first bad one is named.
     """
     single = np.ndim(n_qubits) == 0
     counts = np.array([_count("n_qubits", n, 1) for n in ([n_qubits] if single else n_qubits)])

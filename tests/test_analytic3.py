@@ -8,6 +8,7 @@ import pytest
 from kickedtop import (
     DomainError,
     KickedTopParams,
+    NumericalError,
     SpinQuantum,
     analytic_concurrence,
     analytic_concurrence_series,
@@ -72,6 +73,23 @@ def test_blocks_are_unitary_and_reconstruct_the_floquet_matrix():
         block[:2, :2] = up
         block[2:, 2:] = um
         np.testing.assert_allclose(v @ block @ v.conj().T, u, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "eps, message", [(1e-6, r"^off-block coupling 1\.000e-06 exceeds 1\.0e-09$"), (1e-10, None)]
+)
+def test_a_parity_breaking_floquet_matrix_is_a_numerical_error(monkeypatch, eps, message):
+    # eps * diag(-1, 0, 0, 1) couples the two parity sectors through
+    # |+-3/2> with weight eps, past the 1e-9 leakage bound or inside it
+    def tilted(params):
+        return floquet(params) + eps * np.diag([-1.0, 0.0, 0.0, 1.0])
+
+    monkeypatch.setattr("kickedtop.analytic3.floquet", tilted)
+    if message is None:
+        blocks_u_pm(1.2)
+    else:
+        with pytest.raises(NumericalError, match=message):
+            blocks_u_pm(1.2)
 
 
 def test_block_powers_match_chebyshev_closed_form():

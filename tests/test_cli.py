@@ -276,6 +276,20 @@ def test_negative_kappa0_exits_two_everywhere(capsys, argv):
     assert err.startswith("error: ") and ">= 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv, given",
+    [
+        (("qkt-series", "--j", "1.5", "--kappa", "-0.1", "--n-max", "2"), "-0.1"),
+        (("qkt-sweep", "--j", "1.5", "--kappa", "0.1,nan", "--n-max", "2"), "nan"),
+        (("analytic3", "--kappa=-inf", "--n-max", "2"), "-inf"),
+        (("lyapunov", "--kappa", "0.1,-2", "--steps", "3"), "-2.0"),
+    ],
+)
+def test_a_bad_kappa_is_named_with_the_value_given(capsys, argv, given):
+    # --kappa is kappa0 / 6: the message names the value typed, not six times it
+    assert run_cli(capsys, *argv) == (2, "", f"error: kappa must be finite and >= 0, got {given}\n")
+
+
 def test_epr_values_at_full_precision(capsys):
     code, out, _ = run_cli(capsys, "epr", "--N", "1,2,3,10")
     assert code == 0

@@ -45,7 +45,6 @@ def test_collective_expectations_on_number_states():
         m = n - j
         assert abs(exp.sz - m) < 1e-12
         assert abs(exp.sz2 - m * m) < 1e-12
-        assert abs(exp.sx2_plus_sy2 - (j * (j + 1) - m * m)) < 1e-12
         # a Jz eigenstate has no ladder coherences
         assert abs(exp.splus) < 1e-12
         assert abs(exp.splus2) < 1e-12
@@ -67,7 +66,6 @@ def test_ladder_sum_moments_match_dense_operator_expectations():
             assert exp.n_qubits == n_qubits
             assert abs(exp.sz - dense(ops.jz)) < atol
             assert abs(exp.sz2 - dense(ops.jz @ ops.jz)) < atol
-            assert abs(exp.sx2_plus_sy2 - dense(ops.jx @ ops.jx + ops.jy @ ops.jy)) < atol
             assert abs(exp.splus - dense(ops.jplus)) < atol
             assert abs(exp.splus2 - dense(ops.jplus @ ops.jplus)) < atol
             anti = ops.jplus @ ops.jz + ops.jz @ ops.jplus
@@ -140,16 +138,16 @@ def test_the_pair_trace_is_one_for_any_moments():
     # v+ + v- + 2w = (4N^2 - 4N) / (4N(N-1)) whatever the moments, so the
     # norm check of collective_expectations is the only guard against an
     # unnormalised state.  Moments built by hand skip that check.
-    n, j = 10, 5.0
+    n = 10
     # the zero vector, and 1.4 times the squared amplitudes of (|4> + |6>)/sqrt(2)
-    zero = CollectiveExpectations(n, 0.0, 0.0, j * (j + 1), 0j, 0j, 0j)
-    heavy = CollectiveExpectations(n, 0.0, 1.4, j * (j + 1) - 1.4, 0j, 1.4 * 15 + 0j, 0j)
+    zero = CollectiveExpectations(n, 0.0, 0.0, 0j, 0j, 0j)
+    heavy = CollectiveExpectations(n, 0.0, 1.4, 0j, 1.4 * 15 + 0j, 0j)
     for moments in (zero, heavy):
         rho = reduce_symmetric(moments).rho
         assert abs(np.trace(rho) - 1.0) <= 1e-15
     # <Sz^2> = 40 exceeds N^2/4 = 25, so w < 0: the matrix keeps trace 1 and
     # fails only the positivity check, which runs after the trace check
-    beyond = CollectiveExpectations(n, 0.0, 40.0, j * (j + 1) - 40.0, 0j, 0j, 0j)
+    beyond = CollectiveExpectations(n, 0.0, 40.0, 0j, 0j, 0j)
     with pytest.raises(
         NumericalError, match=r"^not positive semidefinite: residual 3\.333e-01 above 1\.0e-07$"
     ):
@@ -246,6 +244,18 @@ def test_the_factor_reproduces_the_matrix_at_its_rank(make, rank):
     np.testing.assert_allclose(
         (lambdas**2).sum(axis=-1), np.trace(dm.rho @ flipped, axis1=-2, axis2=-1).real, atol=1e-13
     )
+
+
+@pytest.mark.parametrize("two_j", [2, 3, 4, 10, 30, 200, 1001])
+def test_the_two_inner_rows_of_a_symmetric_pair_matrix_are_one_row(two_j):
+    # every pair of a symmetric state lives on the triplet, so
+    # <01|rho|10> = <01|rho|01> and the |01> and |10> rows are one row
+    rng = np.random.default_rng(3)
+    randoms = np.array([random_symmetric_state(rng, two_j) for _ in range(100)])
+    for amps in (randoms, kicked_stack(two_j, 20)):
+        rho = reduce_symmetric(collective_expectations(amps)).rho
+        assert np.array_equal(rho[..., 1, :], rho[..., 2, :])
+        assert np.array_equal(rho[..., 1, 2], rho[..., 1, 1])
 
 
 def test_the_residual_rejects_every_matrix_below_the_eigenvalue_floor():

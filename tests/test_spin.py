@@ -53,7 +53,7 @@ def test_spin_quantum_properties_and_validation():
 
 def moments_of_the_bottom_state(n):
     """The moments of |n=0>, m = -N/2, built by hand for a count n."""
-    return CollectiveExpectations(n, -0.5 * n, n * n / 4, n / 2, 0j, 0j, 0j)
+    return CollectiveExpectations(n, -0.5 * n, n * n / 4, 0j, 0j, 0j)
 
 
 def run_command(*argv):
