@@ -1,15 +1,16 @@
 """Command-line front end emitting CSV for every figure-class output.
 
 Every command computes all of its values first and then writes a header
-row plus one line per data row through a single writer, _emit.  Rows
-come in blocks that share their leading columns (one block per kappa0
-and seed of lyapunov, per N of dicke, one block elsewhere).  Each value
-is written by the printf code '%d' when it is an integer, '%.12g' (12
-significant digits) otherwise, with '\\n' line endings, so identical
-invocations are byte-identical.  A block's shared leading values are
-formatted once, into its line template; after a block's first row the
-rows go CHUNK_ROWS at a time through one '%' on that template repeated
-once per row.
+row plus one line per data row through a single writer, _emit.  The
+values come as computed columns, in blocks that share their leading
+values (one block per kappa0 and seed of lyapunov, per N of dicke, one
+block elsewhere), and the writer zips each block's columns into rows
+strictly, so a column of another length raises ValueError instead of
+dropping rows.  Each value is written by the printf code '%d' when it is
+an integer, '%.12g' (12 significant digits) otherwise, with '\\n' line
+endings, so identical invocations are byte-identical.  Every row goes
+out in one loop, CHUNK_ROWS rows at a time through one '%' on the
+block's line template repeated once per row.
 Output goes to stdout, or atomically to --out (temp file in the target
 directory, then rename).
 
@@ -28,7 +29,7 @@ import math
 import os
 import sys
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,43 +69,33 @@ def _code(value) -> str:
 
 
 def _emit(
-    header: list[str], blocks: Iterable[tuple[tuple, Iterable[tuple]]], out_path: str | None
+    header: list[str], blocks: Iterable[tuple[tuple, tuple[Sequence, ...]]], out_path: str | None
 ) -> None:
-    """Write the CSV from (lead, rows) blocks, one format call per chunk of rows.
+    """Write the CSV from (lead, columns) blocks, one format call per chunk of rows.
 
     lead holds the leading column values shared by every row of its
-    block and rows the tuples of the remaining columns.  Every value is
+    block and columns the equal-length sequences of the remaining
+    columns, already computed; zip(*columns, strict=True) forms the rows,
+    so a column of another length raises ValueError.  Every value is
     written by its printf code, '%d' for an int or np.integer and
     '%.12g' for any other.  The codes of the row columns come from the
-    first row of the first non-empty block, so every row must have its
-    column types and width (a row of another width raises TypeError);
-    a block with no rows writes nothing.  After a block's first row, up
-    to CHUNK_ROWS rows are flattened into one tuple and formatted by one
-    '%' on the block's template repeated once per row.  rows may be
-    lazy, but only over values the caller has already computed, so
-    nothing is written unless every row is complete.
+    first row of the first non-empty block, so a later block with
+    another column count raises TypeError; a block with no rows writes
+    nothing.  Up to CHUNK_ROWS rows are flattened into one tuple and
+    formatted by one '%' on the block's template repeated once per row.
     """
 
     def write(f) -> None:
         f.write(",".join(header) + "\n")
         codes = None
-        for lead, rows in blocks:
-            rows = iter(rows)
-            first = next(rows, None)
-            if first is None:
-                continue
-            if codes is None:
-                codes = [_code(v) for v in first]
-            # The lead is formatted once per block into the template.  Its
-            # text is digits, sign, '.', 'e', 'inf' or 'nan', never a '%',
-            # so it needs no escaping.
-            template = ",".join([_code(v) % v for v in lead] + codes) + "\n"
-            f.write(template % first)
-            # One flat tuple per chunk shifts a short or long row's values
-            # into its neighbours unnoticed, so every width is checked.
+        for lead, columns in blocks:
+            rows = zip(*columns, strict=True)
             while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
-                if set(map(len, chunk)) != {len(codes)}:
-                    raise TypeError(f"every row must have the first row's {len(codes)} columns")
+                if codes is None:
+                    codes = [_code(v) for v in chunk[0]]
+                # The lead's text is digits, sign, '.', 'e', 'inf' or 'nan',
+                # never a '%', so it needs no escaping in the template.
+                template = ",".join([_code(v) % v for v in lead] + codes) + "\n"
                 f.write(template * len(chunk) % tuple(itertools.chain.from_iterable(chunk)))
 
     if out_path is None:
@@ -210,14 +201,14 @@ def cmd_dicke(args) -> None:
         closed = [dicke_concurrence_closed(n_qubits, m) for m in ms]
         states = (number_state(n_qubits, n) for n in levels)
         numeric = [c for c, _ in _pair_wootters(states, n_qubits)]
-        blocks.append(((n_qubits,), zip(ms, closed, numeric)))
+        blocks.append(((n_qubits,), (ms, closed, numeric)))
     _emit(["N", "M", "C_closed", "C_numeric"], blocks, args.out)
 
 
 def cmd_epr(args) -> None:
     counts = _qubit_counts(args.N, 1)
     concurrence = wootters(epr_reduce(counts)).concurrence
-    _emit(["N", "C"], [((), zip(counts, concurrence))], args.out)
+    _emit(["N", "C"], [((), (counts, concurrence))], args.out)
 
 
 def cmd_coherent(args) -> None:
@@ -225,7 +216,7 @@ def cmd_coherent(args) -> None:
     etas = sorted(_list(args.eta, float))
     results = _pair_wootters((spin_coherent(n_qubits, eta) for eta in etas), n_qubits)
     c_lambdas = [c_lambda for _, c_lambda in results]
-    _emit(["eta", "c_lambda"], [((), zip(etas, c_lambdas))], args.out)
+    _emit(["eta", "c_lambda"], [((), (etas, c_lambdas))], args.out)
 
 
 def cmd_qkt_series(args) -> None:
@@ -239,9 +230,9 @@ def cmd_qkt_series(args) -> None:
     # pole by one-qubit rotations, which leave pair concurrence unchanged
     if q.two_j == 3 and (args.theta0 == 0.0 or abs(args.theta0 - math.pi) <= POLE_SNAP_TOL):
         analytic = analytic_concurrence_series(args.n_max, kappa0)
-        _emit(["n", "C", "C_analytic"], [((), zip(kicks, series.concurrence, analytic))], args.out)
+        _emit(["n", "C", "C_analytic"], [((), (kicks, series.concurrence, analytic))], args.out)
     else:
-        _emit(["n", "C"], [((), zip(kicks, series.concurrence))], args.out)
+        _emit(["n", "C"], [((), (kicks, series.concurrence))], args.out)
 
 
 def cmd_qkt_sweep(args) -> None:
@@ -256,14 +247,14 @@ def cmd_qkt_sweep(args) -> None:
     sweep = concurrence_sweep(q, sorted(grid), args.theta0, args.phi0, args.n_max)
     averages = [time_average(s, args.burn_in) for s in sweep]
     kappa0s = [s.params.kappa0 for s in sweep]
-    _emit(["kappa0", "C_timeavg"], [((), zip(kappa0s, averages))], args.out)
+    _emit(["kappa0", "C_timeavg"], [((), (kappa0s, averages))], args.out)
 
 
 def cmd_analytic3(args) -> None:
     _check_size(args.n_max, MAX_STEPS, "kicks")
     kappa0 = _resolve_kappa0_single(args.kappa0, args.kappa)
     values = analytic_concurrence_series(args.n_max, kappa0)
-    _emit(["n", "C_analytic"], [((), zip(range(1, args.n_max + 1), values))], args.out)
+    _emit(["n", "C_analytic"], [((), (range(1, args.n_max + 1), values))], args.out)
 
 
 def cmd_lyapunov(args) -> None:
@@ -277,7 +268,7 @@ def cmd_lyapunov(args) -> None:
         for kappa0 in grid
         for seed in seeds
     ]
-    blocks = [(lead, enumerate(running, 1)) for lead, running in runs]
+    blocks = [(lead, (range(1, args.steps + 1), running)) for lead, running in runs]
     _emit(["kappa0", "seed", "n", "lambda_running"], blocks, args.out)
 
 

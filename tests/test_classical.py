@@ -202,19 +202,37 @@ def test_lyapunov_running_is_consistent_with_the_final_estimate():
     assert np.all(np.isfinite(increments))
 
 
+TORSIONS = {
+    "2.7-half_pi": (2.7, HALF_PI),
+    "6.3-half_pi": (6.3, HALF_PI),
+    "1.1-0.37": (1.1, 0.37),
+    "5.8-2.9": (5.8, 2.9),
+    "0-half_pi": (0.0, HALF_PI),
+}
+# START seeds its tangent from _seed_tangent's y branch, these from its x and z branches
+STARTS = {
+    "": START,
+    "-x_branch": (0.0, math.sin(2.25), math.cos(2.25)),
+    "-z_branch": (math.sin(2.25), math.cos(2.25), 0.0),
+}
+
+
 @pytest.mark.parametrize(
-    "kappa0, p",
-    [(2.7, HALF_PI), (6.3, HALF_PI), (1.1, 0.37), (5.8, 2.9), (0.0, HALF_PI)],
-    ids=["2.7-half_pi", "6.3-half_pi", "1.1-0.37", "5.8-2.9", "0-half_pi"],
+    "kappa0, p, start",
+    [
+        pytest.param(kappa0, p, start, id=torsion + branch)
+        for torsion, (kappa0, p) in TORSIONS.items()
+        for branch, start in STARTS.items()
+    ],
 )
-def test_inlined_loop_equals_public_map_and_tangent(kappa0, p):
+def test_inlined_loop_equals_public_map_and_tangent(kappa0, p, start):
     # classical_map and tangent_step are one-period runs of the loop that
     # lyapunov_running runs for many periods; n one-period calls with the
     # renormalisation done out here equal one n-period run, bit for bit
     steps = 1000
-    running = lyapunov_running(kappa0, p, START, steps, transient=0, seed=3)
-    pt = START
-    v = _seed_tangent(*START, seed=3)
+    running = lyapunov_running(kappa0, p, start, steps, transient=0, seed=3)
+    pt = start
+    v = _seed_tangent(*start, seed=3)
     acc = 0.0
     manual = []
     for _ in range(steps):

@@ -427,7 +427,7 @@ def test_kappa_is_one_sixth_of_kappa0(capsys):
     _, out_c, _ = run_cli(
         capsys, "qkt-series", "--j", "1.5", "--kappa0", "1.2", "--n-max", "25"
     )
-    for row_b, row_c in zip(parse(out_b)[1], parse(out_c)[1]):
+    for row_b, row_c in zip(parse(out_b)[1], parse(out_c)[1], strict=True):
         assert abs(float(row_b[1]) - float(row_c[1])) <= 1e-9
 
 
@@ -558,17 +558,19 @@ def test_writer_matches_the_per_value_rule(tmp_path, capsys):
     with_lead = per_value_csv(["k", "z"] + header, [lead + row for row in rows])
     assert with_lead.splitlines()[1].startswith("5,-0,7,-3,0.1,")
     header_only = "i,j,a,b,c,d,e,f,g,h\n"
+    columns = tuple(zip(*rows))
+    empty = ((),) * len(header)
     cases = [
-        (header, [((), rows)], expected),
-        (["k", "z"] + header, [(lead, []), (lead, rows)], with_lead),
+        (header, [((), columns)], expected),
+        (["k", "z"] + header, [(lead, empty), (lead, columns)], with_lead),
         (header, [], header_only),
-        (header, [((), []), ((), [])], header_only),
+        (header, [((), empty), ((), empty)], header_only),
     ]
     target = tmp_path / "rows.csv"
     for case_header, blocks, text in cases:
-        cli._emit(case_header, ((b_lead, iter(b_rows)) for b_lead, b_rows in blocks), None)
+        cli._emit(case_header, iter(blocks), None)
         assert capsys.readouterr().out == text
-        cli._emit(case_header, ((b_lead, iter(b_rows)) for b_lead, b_rows in blocks), str(target))
+        cli._emit(case_header, iter(blocks), str(target))
         assert target.read_bytes() == text.encode()
     assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
@@ -578,32 +580,26 @@ def test_writer_chunk_boundaries_keep_the_per_value_bytes(tmp_path, capsys, monk
     monkeypatch.setattr(cli, "CHUNK_ROWS", 3)
     sizes = (0, 1, 2, 3, 4, 7)
 
-    def rows(size):
-        return [(n, n / 7.0) for n in range(1, size + 1)]
+    def columns(size):
+        return range(1, size + 1), [n / 7.0 for n in range(1, size + 1)]
 
-    cases = [(["n", "x"], [((), rows(size))]) for size in sizes]
-    cases.append((["k", "s", "n", "x"], [((size / 3.0, np.int64(size)), rows(size)) for size in sizes]))
-    cases.append((["k", "s", "n", "x"], [((size / 3.0, np.int64(size)), rows(size)) for size in sizes[::-1]]))
+    cases = [(["n", "x"], [((), columns(size))]) for size in sizes]
+    cases.append((["k", "s", "n", "x"], [((size / 3.0, np.int64(size)), columns(size)) for size in sizes]))
+    cases.append((["k", "s", "n", "x"], [((size / 3.0, np.int64(size)), columns(size)) for size in sizes[::-1]]))
     target = tmp_path / "rows.csv"
     for header, blocks in cases:
-        text = per_value_csv(header, [lead + row for lead, block_rows in blocks for row in block_rows])
-        cli._emit(header, ((lead, iter(block_rows)) for lead, block_rows in blocks), None)
+        text = per_value_csv(header, [lead + row for lead, cols in blocks for row in zip(*cols)])
+        cli._emit(header, iter(blocks), None)
         assert capsys.readouterr().out == text
-        cli._emit(header, ((lead, iter(block_rows)) for lead, block_rows in blocks), str(target))
+        cli._emit(header, iter(blocks), str(target))
         assert target.read_bytes() == text.encode()
     assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
 
 @pytest.mark.parametrize(
     "blocks",
-    [
-        # widths 2, 3, 1, 2: the chunk after the first row holds 3 rows of 6
-        # values, which a template of 3 two-column lines would take shifted
-        [((), [(1, 0.5), (2, 0.25, 9.0), (3,), (4, 0.125)])],
-        [((), [(1, 0.5)] * 5 + [(6, 0.5, 7.0)])],
-        [((), [(1, 0.5)]), ((), [(1, 0.5, 2.0)])],
-    ],
-    ids=["within-a-chunk", "in-a-partial-chunk", "first-row-of-a-later-block"],
+    [[((), ((1,), (0.5,))), ((), ((1,), (0.5,), (2.0,)))]],
+    ids=["first-row-of-a-later-block"],
 )
 def test_writer_rejects_a_row_of_another_width(tmp_path, capsys, monkeypatch, blocks):
     monkeypatch.setattr(cli, "CHUNK_ROWS", 3)
@@ -612,6 +608,42 @@ def test_writer_rejects_a_row_of_another_width(tmp_path, capsys, monkeypatch, bl
     capsys.readouterr()
     with pytest.raises(TypeError):
         cli._emit(["n", "x"], blocks, str(tmp_path / "rows.csv"))
+    assert list(tmp_path.iterdir()) == []  # no target and no .tmp-* file
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        # with 3-row chunks: short at the end of a partial chunk, long past
+        # a full chunk, and short in a block after a complete one
+        [((), (range(1, 6), [0.5] * 4))],
+        [((), ([1, 2, 3], [0.5] * 4))],
+        [((), (range(1, 3), [0.5] * 2)), ((), (range(1, 2), [0.5] * 2))],
+    ],
+    ids=["short-last-column", "long-last-column", "short-column-in-a-later-block"],
+)
+def test_writer_rejects_columns_of_different_lengths(tmp_path, capsys, monkeypatch, blocks):
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 3)
+    message = r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"
+    with pytest.raises(ValueError, match=message):
+        cli._emit(["n", "x"], blocks, None)
+    capsys.readouterr()
+    with pytest.raises(ValueError, match=message):
+        cli._emit(["n", "x"], blocks, str(tmp_path / "rows.csv"))
+    assert list(tmp_path.iterdir()) == []  # no target and no .tmp-* file
+
+
+def test_a_short_column_fails_the_command_instead_of_dropping_rows(tmp_path, capsys, monkeypatch):
+    # one closed-form value short of the n_max kicks
+    monkeypatch.setattr(
+        cli, "analytic_concurrence_series", lambda n_max, kappa0: analytic_concurrence_series(n_max - 1, kappa0)
+    )
+    argv = ["qkt-series", "--j", "1.5", "--kappa0", "1", "--n-max", "5"]
+    with pytest.raises(ValueError, match=r"^zip\(\) argument 3 is shorter"):
+        cli.main(argv)
+    capsys.readouterr()
+    with pytest.raises(ValueError, match=r"^zip\(\) argument 3 is shorter"):
+        cli.main(["--out", str(tmp_path / "series.csv")] + argv)
     assert list(tmp_path.iterdir()) == []  # no target and no .tmp-* file
 
 

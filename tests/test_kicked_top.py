@@ -357,7 +357,7 @@ def test_sweep_matches_the_full_size_reference_loop(two_j, n_max, monkeypatch):
     for theta0, phi0 in [(0.0, 0.0), (0.7, 0.3), (math.pi, 0.0)]:
         sweep = concurrence_sweep(q, grid, theta0, phi0, n_max)
         reference = reference_sweep(q, unitaries, theta0, phi0, n_max)
-        for series, expected in zip(sweep, reference):
+        for series, expected in zip(sweep, reference, strict=True):
             assert np.abs(series.concurrence - expected).max() <= 1e-12
 
 
@@ -397,7 +397,7 @@ def test_series_is_six_pi_periodic_in_torsion():
     b = concurrence_series(
         KickedTopParams(SpinQuantum(3), kappa0 + 6.0 * math.pi), 0.0, 0.0, 30
     )
-    for (_, ca), (_, cb) in zip(a.entries, b.entries):
+    for (_, ca), (_, cb) in zip(a.entries, b.entries, strict=True):
         assert ca == pytest.approx(cb, abs=1e-12)
 
 
@@ -431,7 +431,7 @@ def test_sweep_columns_equal_single_series_across_kick_blocks(monkeypatch):
     # 3 kicks per block for 4 kappa0 values at 2j = 5
     monkeypatch.setattr(kicked_top, "KICK_BLOCK_AMPLITUDES", 3 * 4 * 6)
     blocked = concurrence_sweep(q, grid, 0.7, 0.3, 40)
-    for kappa0, a, b in zip(grid, whole, blocked):
+    for kappa0, a, b in zip(grid, whole, blocked, strict=True):
         assert a.params.kappa0 == kappa0
         single = concurrence_series(KickedTopParams(q, kappa0), 0.7, 0.3, 40)
         np.testing.assert_allclose(a.concurrence, single.concurrence, rtol=0.0, atol=1e-13)

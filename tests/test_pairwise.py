@@ -88,7 +88,7 @@ def test_reduced_matrix_trace_identity_and_swap_symmetry():
         r = reduce_symmetric(collective_expectations(random_symmetric_state(rng, n_qubits))).rho
         # v+ + v- + 2w
         assert abs(r[0, 0].real + r[3, 3].real + 2.0 * r[1, 1].real - 1.0) < 1e-12
-        # pair swap symmetry: the two one-flip coherences coincide and y is real
+        # pair swap symmetry: the two one-flip coherences coincide and w is real
         np.testing.assert_allclose(r[1, 0], r[2, 0], atol=1e-12)
         np.testing.assert_allclose(r[3, 1], r[3, 2], atol=1e-12)
         assert abs(r[2, 1].imag) < 1e-12
@@ -335,7 +335,7 @@ def test_epr_reduce_beyond_the_int64_square():
 
 def test_epr_reduce_structure():
     r = epr_reduce(4).rho
-    # x+, x-, y, v+ - v- and v+ + v- + 2w
+    # x+, x-, rho_21, v+ - v- and v+ + v- + 2w
     assert abs(r[1, 0]) < 1e-15 and abs(r[3, 1]) < 1e-15
     assert abs(r[2, 1]) < 1e-15
     assert abs(r[0, 0].real - r[3, 3].real) < 1e-15
